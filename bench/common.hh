@@ -78,6 +78,7 @@
 #ifndef AFA_BENCH_COMMON_HH
 #define AFA_BENCH_COMMON_HH
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -88,6 +89,7 @@
 #include "fault/fault_plan.hh"
 #include "obs/perfetto.hh"
 #include "sim/config.hh"
+#include "sim/logging.hh"
 
 namespace afa::bench {
 
@@ -127,11 +129,19 @@ parseOptions(int argc, char **argv)
     const std::uint64_t duration_ms = cfg.getUint("duration_ms", 0);
     if (duration_ms > 0 && cfg.getUint("runtime_ms", 0) == 0)
         p.runtime = afa::sim::msec(static_cast<double>(duration_ms));
+    // A negative or non-finite rate used to fall back to closed loop,
+    // and a burst factor below 1 to plain Poisson, without a word.
     const double rate = cfg.getDouble("rate", 0.0);
+    if (!std::isfinite(rate) || rate < 0.0)
+        afa::sim::fatal("--rate must be a finite arrival rate >= 0 "
+                        "(0 = closed loop), got %g", rate);
+    const double burst = cfg.getDouble("burst", 1.0);
+    if (!std::isfinite(burst) || burst < 1.0)
+        afa::sim::fatal("--burst must be a finite factor >= 1, got %g",
+                        burst);
     if (rate > 0.0) {
         afa::workload::OpenLoopParams ol;
         ol.arrival.ratePerSec = rate;
-        const double burst = cfg.getDouble("burst", 1.0);
         if (burst > 1.0) {
             ol.arrival.kind = afa::workload::ArrivalKind::Bursty;
             ol.arrival.burstFactor = burst;
@@ -337,12 +347,12 @@ reportFigure(const char *figure, const char *caption,
         printTable(result.attribution.table(), opts.csv);
         const auto &m = result.systemMetrics;
         if (!m.empty()) {
-            std::printf("fabric: %llu fast-path / %llu fallback "
-                        "packets; %llu span drops\n",
+            std::printf("fabric: %llu fast-path packets, %llu "
+                        "displacements; %llu span drops\n",
                         (unsigned long long)m.counter(
                             "fabric.fast_path_packets"),
                         (unsigned long long)m.counter(
-                            "fabric.fallback_packets"),
+                            "fabric.displacements"),
                         (unsigned long long)result.spanDrops);
             std::printf("nvme: %llu fast-path / %llu fallback "
                         "commands\n",

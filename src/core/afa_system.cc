@@ -205,8 +205,8 @@ AfaSystem::attachTelemetry(afa::obs::Telemetry &telemetry)
     telemetry.addCounter("fabric.fast_path_packets", [this] {
         return pcieFabric->stats().fastPathPackets;
     });
-    telemetry.addCounter("fabric.fallback_packets", [this] {
-        return pcieFabric->stats().fallbackPackets;
+    telemetry.addCounter("fabric.displacements", [this] {
+        return pcieFabric->stats().displacements;
     });
     telemetry.addCounter("fabric.link_replays", [this] {
         return pcieFabric->stats().linkReplays;
@@ -255,7 +255,7 @@ AfaSystem::publishMetrics(afa::obs::MetricsRegistry &registry) const
     registry.addCounter("fabric.packets", fs.packets);
     registry.addCounter("fabric.bytes", fs.bytes);
     registry.addCounter("fabric.fast_path_packets", fs.fastPathPackets);
-    registry.addCounter("fabric.fallback_packets", fs.fallbackPackets);
+    registry.addCounter("fabric.displacements", fs.displacements);
     registry.addCounter("fabric.queue_delay_ticks", fs.totalQueueDelay);
     registry.addCounter("fabric.link_replays", fs.linkReplays);
 

@@ -38,8 +38,6 @@ flagNames(std::uint8_t flags)
     };
     if (flags & kSpanFlagFastPath)
         add("fast_path");
-    if (flags & kSpanFlagFallback)
-        add("fallback");
     if (flags & kSpanFlagSelf)
         add("self");
     if (flags & kSpanFlagRemote)

@@ -133,8 +133,7 @@ const char *categoryName(Category category);
 std::uint32_t parseCategories(std::string_view list);
 
 /** SpanRecord::flags bits. */
-constexpr std::uint8_t kSpanFlagFastPath = 0x01; ///< fabric fast path
-constexpr std::uint8_t kSpanFlagFallback = 0x02; ///< per-hop fallback
+constexpr std::uint8_t kSpanFlagFastPath = 0x01; ///< fabric analytic walk
 constexpr std::uint8_t kSpanFlagSelf = 0x04;     ///< self-send (0 hops)
 constexpr std::uint8_t kSpanFlagRemote = 0x08;   ///< IRQ off-queue CPU
 

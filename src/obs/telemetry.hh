@@ -18,7 +18,7 @@
  *    are not log2-bucket boundaries in ticks.
  *
  *  - Counter/gauge rows: named sources registered by the model
- *    (driver in-flight, fabric fast-path/fallback packets, rebuild
+ *    (driver in-flight, fabric packets and displacements, rebuild
  *    progress, ...) sampled at every window boundary and exported as
  *    per-window deltas (counters) or instantaneous values (gauges).
  *

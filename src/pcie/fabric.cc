@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <functional>
 
 #include "obs/span_log.hh"
 #include "sim/logging.hh"
@@ -77,7 +78,9 @@ void
 Fabric::finalize()
 {
     const std::size_t n = nodeInfo.size();
-    nextHopFlat.assign(n * n, kInvalidNode);
+    // Dense n*n next-hop table: next_hop[src * n + dst] is the
+    // neighbour on the shortest path (kInvalidNode if unreachable).
+    std::vector<NodeId> next_hop(n * n, kInvalidNode);
     // BFS from every destination, recording each node's parent-ward
     // neighbour (first hop toward dst).
     for (NodeId dst = 0; dst < n; ++dst) {
@@ -98,7 +101,7 @@ Fabric::finalize()
             }
         }
         for (NodeId src = 0; src < n; ++src)
-            nextHopFlat[pathIndex(src, dst)] = toward[src];
+            next_hop[pathIndex(src, dst)] = toward[src];
     }
     // Precompile every route into packed hop records, so send() never
     // walks adjacency lists or the next-hop table per packet.
@@ -109,7 +112,7 @@ Fabric::finalize()
             if (src != dst) {
                 NodeId at_node = src;
                 while (at_node != dst) {
-                    NodeId next = nextHopFlat[pathIndex(at_node, dst)];
+                    NodeId next = next_hop[pathIndex(at_node, dst)];
                     if (next == kInvalidNode)
                         break; // unreachable: leave the route empty
                     Tick fwd = next == dst
@@ -125,8 +128,13 @@ Fabric::finalize()
                 static_cast<std::uint32_t>(pathHops.size());
         }
     }
+    maxHops = 0;
+    for (std::size_t i = 0; i + 1 < pathOffset.size(); ++i)
+        maxHops = std::max(maxHops, pathOffset[i + 1] - pathOffset[i]);
     linkResv.assign(links.size(), {});
     linkFaultRate.assign(links.size(), 0.0);
+    linkFaultStream.assign(links.size(), afa::sim::Rng{});
+    linkFaultSnap.assign(links.size(), {});
     faultedLinks = 0;
     isFinalized = true;
 }
@@ -135,21 +143,24 @@ void
 Fabric::setLinkFaultRate(std::size_t link_idx, double rate)
 {
     double &cur = linkFaultRate[link_idx];
-    if (cur == 0.0 && rate > 0.0) {
+    if (cur == rate)
+        return;
+    // Hops that reach the link from now on draw under the new rate
+    // (the fault event precedes same-tick hops): revoke them and
+    // rewind the stream; the caller walks them again.
+    revokeStarting(link_idx);
+    if (cur == 0.0) {
         ++faultedLinks;
         // Each faulted link draws its replay coin flips from its own
         // stream, forked by link index from the FaultEngine's
         // plan-seeded stream. Per-link streams (rather than one
         // shared stream) make the flips a function of each link's own
-        // packet order — which is model-deterministic — instead of
-        // the global interleaving of hop events, which shifts with
-        // --shards. Re-arming a link restarts its stream; that too is
-        // a pure function of the plan.
-        if (linkFaultStream.size() < links.size())
-            linkFaultStream.resize(links.size());
+        // service order — which is model-deterministic — instead of
+        // the global order of walks. Re-arming a link restarts its
+        // stream; that too is a pure function of the plan.
         linkFaultStream[link_idx] =
             faultRng->fork(static_cast<std::uint64_t>(link_idx));
-    } else if (cur > 0.0 && rate == 0.0) {
+    } else if (rate == 0.0) {
         --faultedLinks;
     }
     cur = rate;
@@ -173,6 +184,7 @@ Fabric::setEndpointFault(NodeId endpoint, double rate)
         setLinkFaultRate(li, rate);
         setLinkFaultRate(linkIndex(nbr, endpoint), rate);
     }
+    drainWork();
 }
 
 bool
@@ -211,113 +223,43 @@ Fabric::nodeName(NodeId id) const
     return nodeInfo[id].name;
 }
 
-/**
- * Schedule a fabric-internal transport event (hop continuations,
- * mid-path flight completions). These are plumbing, not model events:
- * how many of them a packet needs depends on which execution strategy
- * (fast path, mid-path fallback, full chain) it happened to take, and
- * that choice is not invariant across --shards. Marking them internal
- * keeps executedEvents() — and the `events=` line of every figure —
- * at exactly one counted event per delivered packet regardless of the
- * path taken, so event counts are bit-identical at any shard count.
- */
-afa::sim::EventHandle
-Fabric::atInternal(Tick when, EventFn fn)
+std::span<const PathHop>
+Fabric::route(NodeId src, NodeId dst) const
 {
-    return sim().scheduleOnShard(afa::sim::currentShard(), when,
-                                 std::move(fn), /*internal=*/true);
-}
-
-void
-Fabric::hop(NodeId at_node, NodeId dst, std::uint32_t bytes,
-            EventFn on_delivered, DeliverCtx ctx, Tick enter)
-{
-    const std::size_t base = pathIndex(at_node, dst);
-    if (pathOffset[base] == pathOffset[base + 1])
-        fatalNoRoute(at_node, dst);
-    const PathHop &ph = pathHops[pathOffset[base]];
-    assert(ph.link < links.size() &&
-           "precompiled link index out of range");
-    assert(ph.to == nextHopFlat[base] &&
-           "precompiled route disagrees with next-hop table");
-    assert(enter <= now() && "hop entry tick in the future");
-    Link &link = links[ph.link];
-    // Arrival-order FIFO: anything reserved on this link for a later
-    // start must yield to this packet (the reference model serves
-    // links strictly in arrival order; a pending reservation's start
-    // IS its owner's reference arrival).
-    {
-        const auto &resv = linkResv[ph.link];
-        if (!resv.empty() && resv.back().start > enter)
-            displaceEarlier(ph.link, enter);
-    }
-    Tick arrive = link.transfer(enter, afa::sim::Bytes{bytes});
-    fabricStats.totalQueueDelay += (arrive - enter) -
-        link.serialization(afa::sim::Bytes{bytes}) -
-        link.params().propagation;
-    if (faultedLinks) {
-        // Injected link fault: each delivery attempt is corrupted
-        // with probability `rate` and the payload re-serialised.
-        // Bounded so a spec rate close to 1 cannot livelock the hop.
-        double rate = linkFaultRate[ph.link];
-        if (rate > 0.0) {
-            unsigned replays = 0;
-            afa::sim::Rng &stream = linkFaultStream[ph.link];
-            while (replays < 16 && stream.chance(rate)) {
-                arrive = link.transfer(arrive,
-                                       afa::sim::Bytes{bytes});
-                ++replays;
-            }
-            fabricStats.linkReplays += replays;
-        }
-    }
-    NodeId next = ph.to;
-    if (next == dst) {
-        scheduleDelivery(arrive, dst, std::move(on_delivered), ctx);
-        return;
-    }
-    Tick forwarded = arrive + ph.forwardAfter;
-    atInternal(forwarded,
-               [this, next, dst, bytes, ctx,
-                cb = std::move(on_delivered)]() mutable {
-                   hop(next, dst, bytes, std::move(cb), ctx, now());
-               });
+    if (!isFinalized)
+        afa::sim::fatal("fabric %s: route before finalize()",
+                        name().c_str());
+    checkNode(src);
+    checkNode(dst);
+    const std::size_t base = pathIndex(src, dst);
+    return {pathHops.data() + pathOffset[base],
+            pathHops.data() + pathOffset[base + 1]};
 }
 
 /**
- * Schedule a packet's final delivery at @p arrive.
+ * Schedule a packet's single delivery event at @p arrive.
  *
  * Endpoint deliveries (deliveryOrder() != 0) are posted — in serial
  * runs too — through scheduleOnShard() with the node's canonical
  * ordering band, so their same-tick position is a function of (tick,
  * destination, poster order) alone and replay is bit-identical at any
- * shard count; the chain/span bookkeeping stays on the fabric's shard
- * as an uncounted companion event. Host-bound deliveries are always
- * fabric-local and keep plain FIFO order. Exactly one counted event
- * exists per delivery either way.
+ * shard count. Host-bound deliveries are always fabric-local and keep
+ * plain FIFO order. Either way the handle can be reclaimed if the
+ * packet is revoked: the revoking entrant is at least one link flight
+ * ahead of the delivery, so a cross-shard post is still a full
+ * lookahead window away.
  */
-void
-Fabric::scheduleDelivery(Tick arrive, NodeId dst, EventFn cb,
-                         const DeliverCtx &ctx)
+afa::sim::EventHandle
+Fabric::scheduleDelivery(Tick arrive, NodeId dst, EventFn cb)
 {
     const std::uint32_t ord = deliveryOrder(dst);
     if (ord == 0) {
         assert(nodeShardOf(dst) == afa::sim::currentShard() &&
                "unmarked node delivered across shards");
-        if (!ctx.chained) {
-            at(arrive, std::move(cb));
-        } else {
-            at(arrive, [this, ctx, f = std::move(cb)]() mutable {
-                finishChained(ctx);
-                f();
-            });
-        }
-        return;
+        return at(arrive, std::move(cb));
     }
-    sim().scheduleOnShard(nodeShardOf(dst), arrive, std::move(cb),
-                          /*internal=*/false, ord);
-    if (ctx.chained)
-        atInternal(arrive, [this, ctx] { finishChained(ctx); });
+    return sim().scheduleOnShard(nodeShardOf(dst), arrive, std::move(cb),
+                                 /*internal=*/false, ord);
 }
 
 void
@@ -340,9 +282,6 @@ Fabric::sendAt(Tick enter, NodeId src, NodeId dst, std::uint32_t bytes,
     ++fabricStats.packets;
     fabricStats.bytes += bytes;
     if (src == dst) {
-        if (curIo)
-            spanLog->record(curStage, curIo, now(), now(), curTrack,
-                            afa::obs::kSpanFlagSelf);
         after(0, std::move(on_delivered));
         return;
     }
@@ -351,130 +290,290 @@ Fabric::sendAt(Tick enter, NodeId src, NodeId dst, std::uint32_t bytes,
     const std::uint32_t last = pathOffset[base + 1];
     if (first == last)
         fatalNoRoute(src, dst);
-    // The fast path is exact only while the busy horizons describe
-    // ALL in-flight traffic; a chain packet's future hops are not in
-    // the horizons yet, so reserving ahead of one could steal the
-    // FIFO slot the reference model gives it (see DESIGN.md
-    // "Events-per-IO budget").
-    if (fastPathEnabled && chainInFlight == 0 &&
-        (faultedLinks == 0 || !routeFaulted(first, last))) {
-        // Walk the precompiled route, reserving each link at the
-        // packet's computed entry time while the path stays
-        // uncontended. Entry times are exactly what the per-hop chain
-        // would observe, so occupy() advances each busy cursor to the
-        // same horizon and the same arrival tick falls out — with
-        // zero intermediate events. Every reservation past the first
-        // hop starts in the future; each is recorded in linkResv so
-        // that a packet reaching the link earlier can revoke it
-        // (displaceEarlier()).
-        Tick when = enter;
-        std::uint32_t rec_idx = kNoFlight;
-        for (std::uint32_t i = first; /**/; ++i) {
-            if (i == last) {
-                ++fabricStats.fastPathPackets;
-                // Span committed at the computed arrival; a later
-                // displacement moves the true delivery but not this
-                // record (see sendSpanned() in the header).
-                if (curIo)
-                    spanLog->record(curStage, curIo, curBegin, when,
-                                    curTrack, afa::obs::kSpanFlagFastPath);
-                if (rec_idx == kNoFlight) {
-                    // Single-hop route: no future reservation exists,
-                    // so nothing could ever displace this delivery.
-                    scheduleDelivery(when, dst, std::move(on_delivered),
-                                     DeliverCtx{});
-                } else {
-                    FlightRecord &rec = flights[rec_idx];
-                    rec.fullWalk = true;
-                    rec.hopsWalked = last - first;
-                    const std::uint32_t ord = deliveryOrder(dst);
-                    if (ord == 0) {
-                        // Host-bound: the counted delivery event runs
-                        // the callback after dropping the walked
-                        // reservations.
-                        rec.cb = std::move(on_delivered);
-                        rec.ev = at(when, [this, rec_idx] {
-                            completeFlight(rec_idx);
-                        });
-                    } else {
-                        // Endpoint-bound: post the delivery (counted,
-                        // canonical band — identical order at any
-                        // shard count) and keep an uncounted
-                        // bookkeeping event for the reservations. A
-                        // displacement reclaims the post — legal
-                        // because the delivery is always at least one
-                        // lookahead window away from any displacing
-                        // entrant (and trivially reclaimable when it
-                        // is a same-shard post).
-                        rec.xev = sim().scheduleOnShard(
-                            nodeShardOf(dst), when,
-                            std::move(on_delivered),
-                            /*internal=*/false, ord);
-                        rec.ev = atInternal(when, [this, rec_idx] {
-                            completeFlight(rec_idx);
-                        });
-                    }
-                }
-                return;
+    ++fabricStats.fastPathPackets;
+    ++sendCount;
+    const PathHop &ph = pathHops[first];
+    bool late = (!lateDue.empty() && lateInFlight(enter < now())) ||
+        (faultedLinks && routeFaulted(first, last)) ||
+        links[ph.link].busyUntil() > enter;
+    // Hop 0 executes now, ahead of every hop that reaches the link at
+    // or after now (a send precedes same-tick hop events), so it is
+    // never revocable and needs no reservation.
+    if (!linkResv[ph.link].empty())
+        revokeStarting(ph.link);
+    const Tick arrive = transit(ph.link, enter, bytes, nullptr);
+    if (first + 1 == last) {
+        if (late)
+            noteLate(0, arrive);
+        scheduleDelivery(arrive, dst, std::move(on_delivered));
+        drainWork();
+        return;
+    }
+    const std::uint32_t idx = allocFlight();
+    Flight &fl = flights[idx];
+    fl.cb = std::move(on_delivered);
+    fl.callTick = now();
+    fl.sendSeq = sendCount;
+    fl.pathFirst = first;
+    fl.hops = last - first;
+    fl.dst = dst;
+    fl.bytes = bytes;
+    fl.late = late;
+    fl.anchor = late ? 0 : fl.hops - 1;
+    fl.resvEnd = fl.anchor;
+    fl.dispHop = kNoHop;
+    fl.lateArrive = 0;
+    entryOf(idx, 0) = enter;
+    entryOf(idx, 1) = arrive + ph.forwardAfter;
+    walk(idx, 1);
+}
+
+/**
+ * Service order at a link: true when hop @p a_hop of flight @p a is
+ * served before hop @p b_hop of flight @p b.
+ *
+ * A link serves packets in the order their hop events fire: by tick,
+ * then by the order the events were scheduled, which is the position
+ * of the event that scheduled them — recursively. In the per-hop
+ * model a hop is scheduled by the previous hop, and hop 0 is the send
+ * itself (at the tick it executed, in fabric-wide send order; a send
+ * precedes same-tick hop events). The committed results were produced
+ * by a fabric that placed some hop events differently, and the walk
+ * keeps those positions (see lateInFlight()): hops 1..anchor were
+ * scheduled by the send (a send-time walk or its fallback
+ * continuation), and a hop revoked from that walk was rescheduled by
+ * the revoking entrant at dispTick, after same-tick hops and sends.
+ */
+bool
+Fabric::before(std::uint32_t a, std::uint32_t a_hop, std::uint32_t b,
+               std::uint32_t b_hop) const
+{
+    const Flight &fa = flights[a];
+    const Flight &fb = flights[b];
+    // Rank of a same-tick scheduler: send, hop event, displacement.
+    auto rank = [](std::uint32_t hop) {
+        return hop == 0 ? 0 : hop == kNoHop ? 2 : 1;
+    };
+    // The position that scheduled hop @p hop (>= 1) of @p fl.
+    auto scheduler = [](const Flight &fl, std::uint32_t hop) {
+        return hop == fl.dispHop ? kNoHop : hop <= fl.anchor ? 0 : hop - 1;
+    };
+    for (;;) {
+        const Tick ta = positionTick(a, a_hop);
+        const Tick tb = positionTick(b, b_hop);
+        if (ta != tb)
+            return ta < tb;
+        if (rank(a_hop) != rank(b_hop))
+            return rank(a_hop) < rank(b_hop);
+        if (rank(a_hop) != 1)
+            return fa.sendSeq < fb.sendSeq;
+        a_hop = scheduler(fa, a_hop);
+        b_hop = scheduler(fb, b_hop);
+    }
+}
+
+/** Tick of a service-order position (see before()). */
+Tick
+Fabric::positionTick(std::uint32_t flight, std::uint32_t hop) const
+{
+    const Flight &fl = flights[flight];
+    return hop == 0 ? fl.callTick
+        : hop == kNoHop ? fl.dispTick : entryOf(flight, hop);
+}
+
+/**
+ * Move @p bytes across one link entering at @p enter (FIFO behind the
+ * busy horizon), drawing fault replays when the link is faulted.
+ * Returns the arrival tick at the far end. A revocable transfer
+ * (@p replays non-null) saves the replay stream first so a revocation
+ * can rewind it, and reports the replays drawn (kNoDraw if none).
+ */
+Tick
+Fabric::transit(std::size_t link_idx, Tick enter, std::uint32_t bytes,
+                std::uint16_t *replays)
+{
+    Link &link = links[link_idx];
+    const afa::sim::Bytes size{bytes};
+    if (link.busyUntil() > enter)
+        fabricStats.totalQueueDelay += link.busyUntil() - enter;
+    Tick arrive = link.transfer(enter, size);
+    if (replays)
+        *replays = kNoDraw;
+    if (faultedLinks && linkFaultRate[link_idx] > 0.0) {
+        // Injected link fault: each delivery attempt is corrupted
+        // with probability `rate` and the payload re-serialised.
+        // Bounded so a spec rate close to 1 cannot livelock the hop.
+        const double rate = linkFaultRate[link_idx];
+        afa::sim::Rng &stream = linkFaultStream[link_idx];
+        if (replays)
+            linkFaultSnap[link_idx].push_back(stream);
+        std::uint16_t drawn = 0;
+        while (drawn < 16 && stream.chance(rate)) {
+            arrive = link.transfer(arrive, size);
+            ++drawn;
+        }
+        fabricStats.linkReplays += drawn;
+        if (replays)
+            *replays = drawn;
+    }
+    return arrive;
+}
+
+/**
+ * Walk flight @p idx from hop @p hop, interleaved with any revoked
+ * hops awaiting a re-walk, always taking the earliest in service
+ * order; returns when nothing is left to walk.
+ */
+void
+Fabric::walk(std::uint32_t idx, std::uint32_t hop)
+{
+    const Tick t = now();
+    for (;;) {
+        if (!work.empty()) {
+            work.push_back(WorkItem{idx, hop, ++flights[idx].gen});
+            nextWork(idx, hop);
+        }
+        Flight &fl = flights[idx];
+        const PathHop &ph = pathHops[fl.pathFirst + hop];
+        auto &resv = linkResv[ph.link];
+        if (!resv.empty() && resv.front().start < t)
+            prune(ph.link);
+        const Tick enter = entryOf(idx, hop);
+        if (!fl.late && links[ph.link].busyUntil() > enter) {
+            fl.late = true;
+            fl.anchor = hop;
+            fl.resvEnd = hop - 1;
+        }
+        std::size_t pos = resv.size();
+        while (pos > 0 &&
+               before(idx, hop, resv[pos - 1].flight, resv[pos - 1].hop))
+            --pos;
+        if (pos != resv.size())
+            revokeFrom(ph.link, pos, enter);
+        const Tick prev = links[ph.link].busyUntil();
+        std::uint16_t replays;
+        const Tick arrive = transit(ph.link, enter, fl.bytes, &replays);
+        resv.push_back(Reservation{enter, prev, idx,
+                                   static_cast<std::uint16_t>(hop),
+                                   replays});
+        ++fl.live;
+        if (hop + 1 < fl.hops) {
+            entryOf(idx, hop + 1) = arrive + ph.forwardAfter;
+            ++hop;
+            continue;
+        }
+        if (!fl.late) {
+            fl.ev = scheduleDelivery(arrive, fl.dst, std::move(fl.cb));
+        } else {
+            noteLate(fl.lateArrive, arrive);
+            fl.lateArrive = arrive;
+            if (deliveryOrder(fl.dst) != 0) {
+                fl.ev = scheduleDelivery(arrive, fl.dst, std::move(fl.cb));
+            } else {
+                // Released from the last hop's entry, where the per-hop
+                // model scheduled it (see lateInFlight()).
+                fl.ev = sim().scheduleOnShard(
+                    afa::sim::currentShard(), enter,
+                    [this, idx, arrive] {
+                        Flight &f = flights[idx];
+                        f.ev = at(arrive, std::move(f.cb));
+                    },
+                    /*internal=*/true);
             }
-            const PathHop &ph = pathHops[i];
-            Link &link = links[ph.link];
-            if (!link.freeAt(when)) {
-                // First contended link: hand the packet to the
-                // per-hop model from this node onward, at the tick it
-                // would have entered the link. transfer() re-reads
-                // the busy horizon when the event fires, so queueing
-                // is accounted exactly as in the reference model.
-                // (If the horizon blocking us is itself a pending
-                // future reservation starting after `when`, we are
-                // the earlier entrant: hop() revokes it when the
-                // continuation fires at `when`.)
-                if (i == first)
-                    break;
-                if (rec_idx == kNoFlight) {
-                    // Only the first hop was occupied (it started at
-                    // send time, so it is not displaceable): a plain
-                    // chain continuation suffices.
-                    NodeId at_node = pathHops[i - 1].to;
-                    atInternal(
-                        when,
-                        [this, at_node, dst, bytes, ctx = beginChain(),
-                         cb = std::move(on_delivered)]() mutable {
-                            hop(at_node, dst, bytes, std::move(cb), ctx,
-                                now());
-                        });
-                } else {
-                    // The walked prefix holds future reservations;
-                    // keep it revocable until the continuation fires.
-                    FlightRecord &rec = flights[rec_idx];
-                    rec.cb = std::move(on_delivered);
-                    rec.ctx = beginChain();
-                    rec.fullWalk = false;
-                    rec.hopsWalked = i - first;
-                    // Mid-path continuation, not a delivery: internal.
-                    rec.ev = atInternal(when, [this, rec_idx] {
-                        completeFlight(rec_idx);
-                    });
-                }
-                return;
-            }
-            Tick prev = link.busyUntil();
-            if (i != first) {
-                if (rec_idx == kNoFlight)
-                    rec_idx = allocFlight(first, dst, bytes);
-                linkResv[ph.link].push_back(
-                    Reservation{when, prev, rec_idx, i - first});
-            }
-            when = link.occupy(when, afa::sim::Bytes{bytes}) +
-                ph.forwardAfter;
+        }
+        fl.pending = false;
+        if (!nextWork(idx, hop))
+            return;
+    }
+}
+
+/** Walk whatever revoked hops are waiting. */
+void
+Fabric::drainWork()
+{
+    std::uint32_t idx, hop;
+    if (nextWork(idx, hop))
+        walk(idx, hop);
+}
+
+/**
+ * Take the earliest waiting hop in service order, dropping items made
+ * stale by a later, lower revocation of the same flight.
+ */
+bool
+Fabric::nextWork(std::uint32_t &idx, std::uint32_t &hop)
+{
+    if (work.empty())
+        return false;
+    std::erase_if(work, [this](const WorkItem &w) {
+        return flights[w.flight].gen != w.gen;
+    });
+    if (work.empty())
+        return false;
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < work.size(); ++i)
+        if (before(work[i].flight, work[i].hop, work[best].flight,
+                   work[best].hop))
+            best = i;
+    idx = work[best].flight;
+    hop = work[best].hop;
+    work[best] = work.back();
+    work.pop_back();
+    return true;
+}
+
+/**
+ * The release-order rule. The per-hop model scheduled a delivery when
+ * the packet entered its last link; the single-event model this walk
+ * replaces scheduled it at send time, and fell back to the per-hop
+ * model for any packet that met queueing on its walk, crossed a
+ * faulted link, was revoked, or was sent while such a packet was
+ * still in flight. Both orders are exact in ticks but give a
+ * host-bound delivery a different same-tick position among host
+ * events, and committed results depend on it, so those "late"
+ * packets keep the per-hop release: one internal event at the
+ * last-hop entry schedules the delivery. Endpoint-bound deliveries
+ * use their own ordering band, where both orders coincide.
+ *
+ * A late packet counts as in flight until its arrival tick. The
+ * per-hop model retired it in a plain event of that tick, which runs
+ * before any shipped send (band 2 + node) of the tick and, for plain
+ * senders, is taken to run after them.
+ */
+bool
+Fabric::lateInFlight(bool shipped)
+{
+    const Tick t = now();
+    auto later = std::greater<Tick>{};
+    while (!lateDue.empty() &&
+           (lateDue.front() < t || (shipped && lateDue.front() == t))) {
+        const Tick due = lateDue.front();
+        std::pop_heap(lateDue.begin(), lateDue.end(), later);
+        lateDue.pop_back();
+        if (!lateGone.empty() && lateGone.front() == due) {
+            std::pop_heap(lateGone.begin(), lateGone.end(), later);
+            lateGone.pop_back();
         }
     }
-    hop(src, dst, bytes, std::move(on_delivered), beginChain(), enter);
+    return lateDue.size() > lateGone.size();
+}
+
+/** Move a late packet's arrival from @p old_arrive (0: none) to
+ *  @p arrive in the in-flight set. */
+void
+Fabric::noteLate(Tick old_arrive, Tick arrive)
+{
+    auto later = std::greater<Tick>{};
+    if (old_arrive) {
+        lateGone.push_back(old_arrive);
+        std::push_heap(lateGone.begin(), lateGone.end(), later);
+    }
+    lateDue.push_back(arrive);
+    std::push_heap(lateDue.begin(), lateDue.end(), later);
 }
 
 std::uint32_t
-Fabric::allocFlight(std::uint32_t path_first, NodeId dst,
-                    std::uint32_t bytes)
+Fabric::allocFlight()
 {
     std::uint32_t idx;
     if (!freeFlights.empty()) {
@@ -483,227 +582,133 @@ Fabric::allocFlight(std::uint32_t path_first, NodeId dst,
     } else {
         flights.emplace_back();
         idx = static_cast<std::uint32_t>(flights.size() - 1);
+        flightEntry.resize(flights.size() * maxHops);
     }
-    FlightRecord &rec = flights[idx];
-    rec.pathFirst = path_first;
-    rec.dst = dst;
-    rec.bytes = bytes;
-    rec.active = true;
-    rec.displaced = false;
+    Flight &fl = flights[idx];
+    fl.live = 0;
+    fl.redo = kNoRedo;
+    fl.pending = true;
     return idx;
 }
 
-void
-Fabric::freeFlight(std::uint32_t idx)
-{
-    FlightRecord &rec = flights[idx];
-    rec.cb = nullptr;
-    rec.ev = afa::sim::EventHandle{};
-    rec.xev = afa::sim::EventHandle{};
-    rec.ctx = DeliverCtx{};
-    rec.active = false;
-    freeFlights.push_back(idx);
-}
-
 /**
- * A flight record's event fired: all of its reservations have started
- * (the event fires no earlier than the last entry tick), so drop them
- * and either deliver (full walk) or re-enter the per-hop model after
- * the walked prefix (mid-path fallback).
+ * Drop the entries of a link whose start has passed: no entrant can
+ * precede them any more (every later hop reaches a link at or after
+ * now). A flight is recycled once its last entry goes and no re-walk
+ * is waiting; its delivery event no longer needs it.
  */
 void
-Fabric::completeFlight(std::uint32_t idx)
-{
-    FlightRecord &rec = flights[idx];
-    assert(rec.active && "completeFlight() on a free record");
-    for (std::uint32_t h = 1; h < rec.hopsWalked; ++h)
-        pruneExpired(pathHops[rec.pathFirst + h].link);
-    EventFn cb = std::move(rec.cb);
-    DeliverCtx ctx = rec.ctx;
-    bool full = rec.fullWalk;
-    bool shipped = rec.xev.valid();
-    NodeId cont = full ? kInvalidNode
-        : pathHops[rec.pathFirst + rec.hopsWalked - 1].to;
-    NodeId dst = rec.dst;
-    std::uint32_t bytes = rec.bytes;
-    // Free before invoking: the callback may re-enter send() and
-    // allocate flight records itself.
-    freeFlight(idx);
-    if (full) {
-        // When the delivery callback was shipped to another shard
-        // (rec.xev) it fires there on its own; this event is the
-        // serial-order bookkeeping placeholder.
-        if (!shipped)
-            cb();
-    } else {
-        hop(cont, dst, bytes, std::move(cb), ctx, now());
-    }
-}
-
-/**
- * Drop expired reservation entries (start <= now) from the front of a
- * link's list. An expired entry can neither trigger a displacement
- * (arrivals enter at >= now) nor be revoked (only starts after the
- * entrant are), so it is pure garbage; entries are start-sorted, so
- * all expired entries sit at the front.
- */
-void
-Fabric::pruneExpired(std::size_t link_idx)
+Fabric::prune(std::size_t link_idx)
 {
     auto &resv = linkResv[link_idx];
-    std::size_t keep = 0;
-    while (keep < resv.size() && resv[keep].start <= now())
-        ++keep;
-    if (keep)
-        resv.erase(resv.begin(),
-                   resv.begin() + static_cast<std::ptrdiff_t>(keep));
-}
-
-/**
- * Revoke the tail of a link's reservation list from position @p pos:
- * roll each occupancy back (reverse order, so each restored horizon is
- * exact) and mark each owner displaced at the lowest affected hop.
- * Owners newly displaced (or displaced at a lower hop than before) are
- * pushed on @p work for a downstream re-scan; @p all collects each
- * displaced record once.
- */
-void
-Fabric::cutReservations(std::size_t link_idx, std::size_t pos,
-                        std::vector<std::uint32_t> &work,
-                        std::vector<std::uint32_t> &all)
-{
-    auto &resv = linkResv[link_idx];
-    for (std::size_t q = resv.size(); q-- > pos; ) {
-        const Reservation &e = resv[q];
-        FlightRecord &rec = flights[e.rec];
-        assert(rec.active && "reservation owned by a free record");
-        links[link_idx].unoccupy(e.prevHorizon,
-                                 afa::sim::Bytes{rec.bytes});
-        if (!rec.displaced) {
-            rec.displaced = true;
-            rec.displacedHop = e.hop;
-            rec.displacedStart = e.start;
-            work.push_back(e.rec);
-            all.push_back(e.rec);
-        } else if (e.hop < rec.displacedHop) {
-            rec.displacedHop = e.hop;
-            rec.displacedStart = e.start;
-            work.push_back(e.rec);
+    const Tick t = now();
+    std::size_t n = 0;
+    std::size_t drawn = 0;
+    for (; n < resv.size() && resv[n].start < t; ++n) {
+        drawn += resv[n].replays != kNoDraw;
+        Flight &fl = flights[resv[n].flight];
+        if (--fl.live == 0 && !fl.pending) {
+            fl.ev = afa::sim::EventHandle{};
+            freeFlights.push_back(resv[n].flight);
         }
     }
-    resv.resize(pos);
+    resv.erase(resv.begin(), resv.begin() + static_cast<std::ptrdiff_t>(n));
+    if (drawn) {
+        auto &snap = linkFaultSnap[link_idx];
+        snap.erase(snap.begin(),
+                   snap.begin() + static_cast<std::ptrdiff_t>(drawn));
+    }
+}
+
+/** Prune a link, then revoke every entry that starts at or after now. */
+void
+Fabric::revokeStarting(std::size_t link_idx)
+{
+    prune(link_idx);
+    const auto &resv = linkResv[link_idx];
+    std::size_t pos = resv.size();
+    while (pos > 0 && resv[pos - 1].start >= now())
+        --pos;
+    if (pos != resv.size())
+        revokeFrom(link_idx, pos, now());
 }
 
 /**
- * A packet is entering @p link_idx at @p enter ahead of at least one
- * pending reservation. The reference model serves every link in
- * arrival order, and a pending reservation's start is its owner's
- * reference arrival, so every reservation starting after @p enter must
- * yield: revoke it, cascade to the owner's downstream reservations
- * (and to reservations queued behind those — their owners' arrivals
- * are later still), cancel each owner's scheduled event, and re-enter
- * each owner into the per-hop model at the node before its displaced
- * hop, at its recorded entry tick — exactly where and when the
- * reference model has it arrive. The owner's committed prefix (hops
- * before the displacement point) is untouched: the packet really does
- * traverse those links at the reserved ticks.
+ * Revoke a link's entries from @p pos on, and transitively every
+ * reservation computed from them: each revoked owner's downstream
+ * hops, and everything queued behind those. Rollbacks run from the
+ * tail, so each restores the exact busy horizon (and replay stream)
+ * of its link. Each owner's delivery is taken back and a re-walk
+ * queued from its lowest revoked hop; its entry tick there is
+ * unchanged, since only later hops were computed from the revoked
+ * state.
  */
 void
-Fabric::displaceEarlier(std::size_t link_idx, Tick enter)
+Fabric::revokeFrom(std::size_t link_idx, std::size_t pos, Tick by)
 {
-    std::vector<std::uint32_t> work;
-    std::vector<std::uint32_t> all;
-    auto &resv = linkResv[link_idx];
-    std::size_t pos = resv.size();
-    while (pos > 0 && resv[pos - 1].start > enter)
-        --pos;
-    cutReservations(link_idx, pos, work, all);
-    while (!work.empty()) {
-        std::uint32_t ri = work.back();
-        work.pop_back();
-        FlightRecord &rec = flights[ri];
-        // Remove the owner's not-yet-started reservations downstream
-        // of its displacement point. (Entries already removed by an
-        // earlier cut are simply not found.)
-        for (std::uint32_t h = rec.displacedHop + 1;
-             h < rec.hopsWalked; ++h) {
-            std::size_t li = pathHops[rec.pathFirst + h].link;
-            auto &lv = linkResv[li];
-            for (std::size_t p = 0; p < lv.size(); ++p) {
-                if (lv[p].rec == ri && lv[p].hop == h) {
-                    cutReservations(li, p, work, all);
+    auto cut = [this, by](std::size_t li, std::size_t from) {
+        auto &resv = linkResv[li];
+        for (std::size_t q = resv.size(); q-- > from; ) {
+            const Reservation &r = resv[q];
+            Flight &fl = flights[r.flight];
+            const unsigned replays = r.replays == kNoDraw ? 0 : r.replays;
+            links[li].revoke(r.start, r.prevHorizon,
+                             afa::sim::Bytes{fl.bytes}, 1 + replays);
+            if (r.prevHorizon > r.start)
+                fabricStats.totalQueueDelay -= r.prevHorizon - r.start;
+            if (r.replays != kNoDraw) {
+                fabricStats.linkReplays -= replays;
+                linkFaultStream[li] = linkFaultSnap[li].back();
+                linkFaultSnap[li].pop_back();
+            }
+            ++fabricStats.displacements;
+            --fl.live;
+            if (fl.redo == kNoRedo)
+                revoked.push_back(r.flight);
+            if (r.hop < fl.redo) {
+                fl.redo = r.hop;
+                rescan.push_back(r.flight);
+            }
+            if (r.hop <= fl.resvEnd) {
+                fl.dispHop = r.hop;
+                fl.dispTick = by;
+                fl.anchor = r.hop - 1;
+                fl.resvEnd = r.hop - 1;
+            } else if (r.hop == fl.dispHop) {
+                fl.dispTick = std::min(fl.dispTick, by);
+            }
+        }
+        resv.resize(from);
+    };
+    cut(link_idx, pos);
+    while (!rescan.empty()) {
+        const std::uint32_t idx = rescan.back();
+        rescan.pop_back();
+        const Flight &fl = flights[idx];
+        for (std::uint32_t h = fl.redo + 1; h < fl.hops; ++h) {
+            const std::size_t li = pathHops[fl.pathFirst + h].link;
+            const auto &resv = linkResv[li];
+            for (std::size_t p = 0; p < resv.size(); ++p) {
+                if (resv[p].flight == idx && resv[p].hop == h) {
+                    cut(li, p);
                     break;
                 }
             }
         }
     }
-    for (std::uint32_t ri : all) {
-        FlightRecord &rec = flights[ri];
-        bool was_pending = sim().cancel(rec.ev);
-        assert(was_pending && "displaced a record whose event fired");
-        (void)was_pending;
-        if (rec.fullWalk) {
-            // No longer a single-event delivery: recount it as a
-            // fallback packet holding the fast-path gate closed until
-            // it is delivered. A displaced packet never inherits the
-            // displacing sender's span identity (ctx.io stays 0). If
-            // the delivery callback was already shipped to another
-            // shard, take it back — the displacing entrant is at
-            // least one lookahead window before the shipped tick, so
-            // the post cannot have fired.
-            --fabricStats.fastPathPackets;
-            if (rec.xev.valid()) {
-                rec.cb = sim().reclaim(rec.xev);
-                rec.xev = afa::sim::EventHandle{};
-            }
-            ++fabricStats.fallbackPackets;
-            ++chainInFlight;
-            rec.ctx = DeliverCtx{};
-            rec.ctx.chained = true;
-            rec.fullWalk = false;
-        }
-        // The record now represents only the committed prefix, with
-        // its continuation at the displaced hop's entry tick; it
-        // stays revocable at hops below the displacement point.
-        rec.hopsWalked = rec.displacedHop;
-        rec.displaced = false;
-        // The displaced record is now a mid-path continuation (its
-        // counted delivery event will be scheduled at the end of the
-        // chain): internal.
-        rec.ev = atInternal(rec.displacedStart,
-                            [this, ri] { completeFlight(ri); });
+    for (std::uint32_t idx : revoked) {
+        Flight &fl = flights[idx];
+        if (fl.cb)
+            sim().cancel(fl.ev); // a pending release, if any
+        else
+            fl.cb = sim().reclaim(fl.ev);
+        fl.ev = afa::sim::EventHandle{};
+        fl.late = true;
+        fl.pending = true;
+        work.push_back(WorkItem{idx, fl.redo, ++fl.gen});
+        fl.redo = kNoRedo;
     }
-}
-
-/**
- * Mark a packet as traversing in per-hop chain mode; the returned
- * context rides to the delivery point, where finishChained() drops
- * the mark (and commits the fallback span, when one is open).
- */
-Fabric::DeliverCtx
-Fabric::beginChain()
-{
-    ++fabricStats.fallbackPackets;
-    ++chainInFlight;
-    DeliverCtx ctx;
-    ctx.chained = true;
-    ctx.io = curIo;
-    ctx.begin = curBegin;
-    ctx.track = curTrack;
-    ctx.stage = curStage;
-    return ctx;
-}
-
-void
-Fabric::finishChained(const DeliverCtx &ctx)
-{
-    --chainInFlight;
-    if (ctx.io) {
-        // Fallback spans get their real delivery tick: the record is
-        // committed when the packet is delivered.
-        spanLog->record(ctx.stage, ctx.io, ctx.begin, now(), ctx.track,
-                        afa::obs::kSpanFlagFallback);
-    }
+    revoked.clear();
 }
 
 void
@@ -723,13 +728,15 @@ Fabric::sendSpannedAt(Tick enter, NodeId src, NodeId dst,
 {
     if (spanLog && io != 0 &&
         spanLog->wants(afa::obs::categoryOf(stage))) {
-        curIo = io;
-        curTrack = track;
-        curStage = stage;
-        curBegin = enter;
-        sendAt(enter, src, dst, bytes, std::move(on_delivered));
-        curIo = 0;
-        return;
+        // The span is committed by the delivery itself, so it always
+        // carries the final delivery tick.
+        const std::uint8_t flags = src == dst
+            ? afa::obs::kSpanFlagSelf : afa::obs::kSpanFlagFastPath;
+        on_delivered = [this, stage, io, enter, track, flags,
+                        cb = std::move(on_delivered)]() mutable {
+            spanLog->record(stage, io, enter, now(), track, flags);
+            cb();
+        };
     }
     sendAt(enter, src, dst, bytes, std::move(on_delivered));
 }
@@ -794,13 +801,7 @@ Fabric::unloadedLatency(NodeId src, NodeId dst,
 unsigned
 Fabric::hopCount(NodeId src, NodeId dst) const
 {
-    if (!isFinalized)
-        afa::sim::fatal("fabric %s: hopCount before finalize()",
-                        name().c_str());
-    checkNode(src);
-    checkNode(dst);
-    const std::size_t base = pathIndex(src, dst);
-    return pathOffset[base + 1] - pathOffset[base];
+    return static_cast<unsigned>(route(src, dst).size());
 }
 
 } // namespace afa::pcie

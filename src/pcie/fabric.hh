@@ -4,30 +4,31 @@
  * switches) joined by Links, with shortest-path routing.
  *
  * finalize() precompiles, per (src, dst), the full hop sequence as
- * packed link-index + forward-latency records. When every link on the
- * path is free at the packet's computed entry time (the dominant case
- * at QD1), send() advances all link busy cursors in one pass and
- * schedules a single delivery event at the arrival tick. From the
- * first contended link onward it falls back to the per-hop event
- * model, so contention on any link or switch naturally delays
- * everything behind it, tick-for-tick as before.
+ * packed link-index + forward-latency records. send() then computes
+ * the whole transit analytically: every link is a FIFO server, so a
+ * packet's entry at each hop is max(arrival, busy horizon), and one
+ * pass over the route advances every busy horizon and schedules a
+ * single delivery event at the computed arrival tick.
  *
- * Reserving downstream links at *future* entry ticks is only exact
- * while nothing reaches those links earlier; every future reservation
- * is therefore recorded and revocable. A packet that enters a link
- * ahead of a pending reservation's start displaces the reservation's
- * owner: the owner's scheduled event is cancelled, its unstarted
- * occupancy rolled back (cascading to reservations queued behind it),
- * and the owner re-enters the per-hop model at its recorded entry
- * tick — which is exactly its reference-model arrival, so link FIFO
- * order always equals arrival order. See DESIGN.md "Events-per-IO
- * budget" for the full equivalence contract.
+ * Walking ahead is exact only if each link serves packets in the
+ * order the per-hop event model would: by the tick a packet reaches
+ * the link, ties broken by the order its hop event was scheduled
+ * (the previous hop's tick and order, recursively back to the send).
+ * A later send can reach a shared link ahead of packets walked
+ * earlier, so every occupancy past a route's first hop is recorded as
+ * a revocable reservation. An entrant that precedes a reservation in
+ * service order revokes it and everything queued behind it (and the
+ * owners' downstream hops), and the revoked packets are walked again,
+ * analytically, in service order. See DESIGN.md "Events-per-IO
+ * budget" for the full contract; tests/pcie holds the per-hop event
+ * model as the differential oracle.
  */
 
 #ifndef AFA_PCIE_FABRIC_HH
 #define AFA_PCIE_FABRIC_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,19 +53,30 @@ struct FabricStats
     std::uint64_t packets = 0;
     std::uint64_t bytes = 0;
     Tick totalQueueDelay = 0;
-    /** Packets delivered by the single-event uncontended fast path.
-     *  Invariant across --shards: every walk executes at the same
-     *  tick in the same canonical order at any shard count (endpoint
-     *  sends are shipped one lookahead after their backdated entry in
-     *  serial runs too), so the fast/fallback decision sees the same
-     *  fabric state everywhere. */
+    /** Packets delivered by one analytic walk and a single delivery
+     *  event: every packet with a route (self-sends count as
+     *  packets only). Invariant across --shards: every walk executes
+     *  on the fabric's shard at the same tick in the same canonical
+     *  order at any shard count (endpoint sends are shipped one
+     *  lookahead after their backdated entry in serial runs too). */
     std::uint64_t fastPathPackets = 0;
-    /** Packets that took the per-hop event model (contention hit, or
-     *  the fast path disabled). Self-sends count for neither. */
-    std::uint64_t fallbackPackets = 0;
+    /** Reservations revoked because an earlier entrant in link
+     *  service order (or a link-fault rate change) arrived after they
+     *  were walked, cascades included. Each revoked hop is walked
+     *  again; the count measures that rework, not a model effect. */
+    std::uint64_t displacements = 0;
     /** Transfers repeated because an injected link fault corrupted
      *  them (each replay re-serialises the full payload). */
     std::uint64_t linkReplays = 0;
+};
+
+/** One precompiled hop of a (src, dst) route. */
+struct PathHop
+{
+    std::uint32_t link;  ///< index into the fabric's links
+    NodeId to;           ///< node at the far end of the link
+    Tick forwardAfter;   ///< store-and-forward latency charged after
+                         ///< this hop (0 on the final hop)
 };
 
 /**
@@ -109,16 +121,10 @@ class Fabric : public afa::sim::SimObject
 
     /**
      * send() that also records an obs transit span [send, deliver]
-     * for IO @p io on @p track. The span's flags say how the packet
-     * travelled: self-send, single-event fast path, or per-hop
-     * fallback. No-op wrapper around send() when the span log is
+     * for IO @p io on @p track, committed when the packet is
+     * delivered (so a revoked and re-walked packet records its true
+     * delivery tick). No-op wrapper around send() when the span log is
      * absent, the pcie category is disabled, or @p io is 0.
-     *
-     * Fast-path spans are committed at send time with the computed
-     * arrival tick; in the rare case the packet is later displaced
-     * into the per-hop model its true delivery moves later and the
-     * recorded span keeps the optimistic end (the *simulation* stays
-     * exact — only this telemetry record is approximate).
      */
     void sendSpanned(NodeId src, NodeId dst, std::uint32_t bytes,
                      std::uint64_t io, std::uint16_t track,
@@ -137,7 +143,9 @@ class Fabric : public afa::sim::SimObject
      * through-traffic and no reservations ever cover a route's first
      * hop, so nothing can have touched the link in (enter, now()],
      * and (b) every computed event time is >= enter + propagation >=
-     * now(), so nothing schedules into the past.
+     * now(), so nothing schedules into the past. The send still takes
+     * its service position on later links from now(), the tick the
+     * walk executes, exactly as a shipped per-hop send would.
      */
     void sendSpannedAt(Tick enter, NodeId src, NodeId dst,
                        std::uint32_t bytes, std::uint64_t io,
@@ -197,6 +205,10 @@ class Fabric : public afa::sim::SimObject
     /** Number of link hops between two nodes. */
     unsigned hopCount(NodeId src, NodeId dst) const;
 
+    /** The precompiled hop sequence from @p src to @p dst (empty for
+     *  a self-route or an unreachable destination). */
+    std::span<const PathHop> route(NodeId src, NodeId dst) const;
+
     /** Node count. */
     std::size_t nodes() const { return nodeInfo.size(); }
 
@@ -213,26 +225,14 @@ class Fabric : public afa::sim::SimObject
     const FabricStats &stats() const { return fabricStats; }
 
     /**
-     * Enable/disable the uncontended single-event fast path (on by
-     * default). Disabling forces every packet through the per-hop
-     * event model — the reference behaviour the fast path must match
-     * tick-for-tick; used by the differential tests.
-     */
-    void setFastPath(bool enabled) { fastPathEnabled = enabled; }
-
-    /** True while the uncontended fast path is enabled. */
-    bool fastPath() const { return fastPathEnabled; }
-
-    /**
      * The random stream link-fault replay coin flips derive from.
      * Must be set before any endpoint fault activates; the
      * FaultEngine passes its own plan-seeded stream so faulted runs
      * replay identically at any --jobs (detlint: fault-rng). Each
      * faulted link forks a private child stream by link index when it
      * is armed, so the flip a packet sees depends only on its link
-     * and its position in that link's (model-deterministic) packet
-     * order — never on how hop events interleave across links, which
-     * shifts with --shards.
+     * and its position in that link's service order — never on how
+     * walks interleave across links, which shifts with --shards.
      */
     void setFaultRng(afa::sim::Rng *rng) { faultRng = rng; }
 
@@ -240,11 +240,10 @@ class Fabric : public afa::sim::SimObject
      * Inject (rate > 0) or clear (rate == 0) a transient error rate on
      * every directed link adjacent to @p endpoint: each transfer on a
      * faulted link is independently corrupted with probability @p rate
-     * and replayed in full, possibly repeatedly. Routes crossing a
-     * faulted link leave the single-event fast path and take the
-     * per-hop reference model, so replay delays propagate exactly
-     * (PR 3 contract); with no faulted links the only added send()
-     * cost is one integer test.
+     * and replayed in full, possibly repeatedly. Replays are drawn
+     * during the walk, in each link's service order; reservations
+     * that start at or after the change are revoked and walked again
+     * under the new rate.
      */
     void setEndpointFault(NodeId endpoint, double rate);
 
@@ -268,119 +267,93 @@ class Fabric : public afa::sim::SimObject
         std::vector<std::pair<NodeId, std::size_t>> out;
     };
 
-    /** One precompiled hop of a (src, dst) route. */
-    struct PathHop
-    {
-        std::uint32_t link;  ///< index into links
-        NodeId to;           ///< node at the far end of the link
-        Tick forwardAfter;   ///< store-and-forward latency charged
-                             ///< after this hop (0 on the final hop)
-    };
-
     /**
-     * One revocable future-entry reservation on a link, placed by the
-     * fast-path walk for every hop past the first. Entries on a link
-     * are sorted by start (occupy() requires freeAt(), so each new
-     * reservation begins at or after the previous one's end); entries
-     * whose start has passed are expired garbage, pruned lazily.
+     * One revocable occupancy of a link by hop @c hop (>= 1) of a
+     * walked packet. A link's entries are kept in service order, so a
+     * revocation always cuts a suffix and each rollback restores the
+     * exact busy horizon. Entries whose start has passed can no
+     * longer be revoked and are pruned lazily.
      */
     struct Reservation
     {
-        Tick start;          ///< owner starts serialising (= its
-                             ///< reference-model arrival at the link)
-        Tick prevHorizon;    ///< link busy horizon just before the
-                             ///< occupy(), for rollback
-        std::uint32_t rec;   ///< owning FlightRecord index
-        std::uint32_t hop;   ///< hop position on the owner's route
-                             ///< (>= 1; hop 0 starts at send time and
-                             ///< can never be displaced)
+        Tick start;          ///< entry tick (the per-hop arrival)
+        Tick prevHorizon;    ///< link busy horizon before the transfer
+        std::uint32_t flight;///< owning Flight index
+        std::uint16_t hop;   ///< hop position on the owner's route
+        std::uint16_t replays; ///< fault replays drawn (kNoDraw: none)
     };
 
-    /**
-     * Context a packet carries from send() to its delivery point:
-     * whether it holds the fast-path gate (per-hop chain mode) and
-     * the span identity to commit at delivery. Replaces the old
-     * closure-wrapping (chainWrap): under sharded execution the
-     * delivery callback may cross to another shard while this
-     * bookkeeping must run on the fabric's shard, so it travels as
-     * plain data instead of inside the callback.
-     */
-    struct DeliverCtx
-    {
-        bool chained = false;   ///< holds the fast-path gate until
-                                ///< finishChained() at delivery
-        std::uint64_t io = 0;   ///< span identity (0 = no span)
-        Tick begin = 0;
-        std::uint16_t track = 0;
-        afa::obs::Stage stage = afa::obs::Stage::FabricSubmit;
-    };
+    /** Reservation::replays when the link was not faulted. */
+    static constexpr std::uint16_t kNoDraw = 0xffff;
+    /** Flight::redo when no hop of the flight is revoked. */
+    static constexpr std::uint32_t kNoRedo = 0xffffffffu;
+    /** Flight::dispHop when no hop was displaced; as a position in
+     *  before(), the displacement that rescheduled dispHop. */
+    static constexpr std::uint32_t kNoHop = 0xfffffffeu;
 
     /**
-     * An in-flight send whose future link occupancy is written into
-     * the busy horizons: a full fast-path walk awaiting its single
-     * delivery event, or the walked prefix of a mid-path fallback
-     * awaiting its chain continuation event. Holding the event handle
-     * and the final callback makes the packet displaceable — if
-     * another packet arrives at a reserved link before the reservation
-     * starts, the event is cancelled, the unstarted reservations are
-     * rolled back, and the packet re-enters the per-hop model at its
-     * recorded entry tick.
+     * A walked multi-hop packet, alive while any of its reservations
+     * may still be revoked. Entry ticks per hop live in flightEntry
+     * (maxHops slots per flight).
      */
-    struct FlightRecord
+    struct Flight
     {
-        afa::sim::EventFn cb;       ///< the caller's on_delivered
-                                    ///< (empty when shipped via xev)
-        afa::sim::EventHandle ev;   ///< delivery or continuation event
-        afa::sim::EventHandle xev;  ///< cross-shard delivery post for
-                                    ///< a full walk to a remote node;
-                                    ///< reclaimed on displacement
-        DeliverCtx ctx;             ///< chain/span context
-        std::uint32_t pathFirst = 0;///< base index into pathHops
-        std::uint32_t hopsWalked = 0;///< links occupied; reservations
-                                    ///< cover hops 1..hopsWalked-1
+        afa::sim::EventFn cb;        ///< callback while not scheduled
+        afa::sim::EventHandle ev;    ///< scheduled delivery
+        Tick callTick = 0;           ///< tick the send executed
+        std::uint64_t sendSeq = 0;   ///< fabric-wide send order
+        std::uint32_t pathFirst = 0; ///< base index into pathHops
+        std::uint32_t hops = 0;      ///< route length (>= 2)
+        std::uint32_t live = 0;      ///< unpruned reservations
+        std::uint32_t gen = 0;       ///< validates work items
         NodeId dst = kInvalidNode;
         std::uint32_t bytes = 0;
-        bool fullWalk = false;      ///< ev delivers (else it re-enters
-                                    ///< hop() after the walked prefix)
-        bool active = false;
-        // Scratch used only inside displaceEarlier():
-        bool displaced = false;
-        std::uint32_t displacedHop = 0;
-        Tick displacedStart = 0;
+        std::uint32_t redo = kNoRedo;///< lowest revoked hop (scratch)
+        // Where this flight's hop events sit in service order (see
+        // before()): hops 1..anchor are scheduled by the send, hop
+        // dispHop by a revoking entrant at dispTick; hops 1..resvEnd
+        // are still the send-time walk's own reservations.
+        std::uint32_t anchor = 0;
+        std::uint32_t resvEnd = 0;
+        std::uint32_t dispHop = kNoHop;
+        Tick dispTick = 0;
+        Tick lateArrive = 0;         ///< arrival noted by noteLate()
+        bool pending = false;        ///< has a queued work item
+        bool late = false;           ///< per-hop release order
     };
 
-    static constexpr std::uint32_t kNoFlight = 0xffffffffu;
+    /** A hop of a flight waiting to be (re)walked. */
+    struct WorkItem
+    {
+        std::uint32_t flight;
+        std::uint32_t hop;
+        std::uint32_t gen;
+    };
 
     std::vector<NodeInfo> nodeInfo;
     std::vector<Link> links;
-    // Dense n*n next-hop table: nextHopFlat[src * n + dst] is the
-    // neighbour on the shortest path (kInvalidNode if unreachable).
-    std::vector<NodeId> nextHopFlat;
     // Precompiled routes: pathHops[pathOffset[src * n + dst] ..
     // pathOffset[src * n + dst + 1]) is the full hop sequence.
     std::vector<PathHop> pathHops;
     std::vector<std::uint32_t> pathOffset;
-    // Pending future-entry reservations per directed link (parallel to
-    // links; sized in finalize()). Almost always empty or tiny: an
-    // entry lives from the owning send() until it starts, is displaced,
-    // or the owner's event completes and prunes it.
+    std::uint32_t maxHops = 0;
+    // Revocable reservations per directed link, in service order
+    // (parallel to links; sized in finalize()).
     std::vector<std::vector<Reservation>> linkResv;
-    std::vector<FlightRecord> flights;
+    std::vector<Flight> flights;
+    std::vector<Tick> flightEntry; ///< flights.size() * maxHops
     std::vector<std::uint32_t> freeFlights;
+    // Revoked hops awaiting their re-walk (tiny; scanned linearly).
+    std::vector<WorkItem> work;
+    // revokeFrom() scratch: owners revoked, owners to rescan.
+    std::vector<std::uint32_t> revoked;
+    std::vector<std::uint32_t> rescan;
+    std::uint64_t sendCount = 0;
+    // Arrival ticks of late packets (min-heaps; lateGone holds
+    // superseded entries still in lateDue), see lateInFlight().
+    std::vector<Tick> lateDue;
+    std::vector<Tick> lateGone;
     bool isFinalized;
-    bool fastPathEnabled = true;
-    /**
-     * Packets currently traversing via per-hop chain events. Their
-     * future link occupancy is NOT yet reflected in the link busy
-     * horizons, so while any are in flight the fast path must not
-     * reserve ahead of them (it could steal a FIFO slot the reference
-     * model would have given the chain packet). Fast-path packets by
-     * contrast reserve their whole path at send time, so horizons
-     * fully describe them; if traffic nevertheless reaches a reserved
-     * link first, displaceEarlier() revokes the reservation, keeping
-     * FIFO order equal to arrival order (see fabric.cc).
-     */
-    std::uint64_t chainInFlight = 0;
     // Injected per-link fault state (parallel to links; sized in
     // finalize()). faultedLinks counts entries with rate > 0 so the
     // healthy-path cost of the fault hooks is a single integer test.
@@ -388,6 +361,9 @@ class Fabric : public afa::sim::SimObject
     // Per-link replay streams, forked from the FaultEngine's stream
     // by link index when a fault is armed (see setLinkFaultRate()).
     std::vector<afa::sim::Rng> linkFaultStream;
+    // Per link, the replay stream state before each drawing
+    // reservation, in list order, so a revocation rewinds the stream.
+    std::vector<std::vector<afa::sim::Rng>> linkFaultSnap;
     unsigned faultedLinks = 0;
     // Shard each node's delivery callbacks run on (empty = all 0).
     std::vector<unsigned> nodeShardMap;
@@ -396,18 +372,6 @@ class Fabric : public afa::sim::SimObject
     afa::sim::Rng *faultRng = nullptr;
     FabricStats fabricStats;
     afa::obs::SpanLog *spanLog = nullptr;
-    /**
-     * Span context of the sendSpanned() currently executing (io 0 =
-     * none). Valid only for the synchronous extent of send(): the
-     * commit points (self-send, fast-path walk, chainWrap()) read it
-     * to stamp their span records. displaceEarlier() zeroes it while
-     * re-wrapping *other* packets' callbacks so a displaced packet
-     * never inherits the displacing sender's identity.
-     */
-    std::uint64_t curIo = 0;
-    Tick curBegin = 0;
-    std::uint16_t curTrack = 0;
-    afa::obs::Stage curStage = afa::obs::Stage::FabricSubmit;
 
     std::size_t
     pathIndex(NodeId src, NodeId dst) const
@@ -415,27 +379,40 @@ class Fabric : public afa::sim::SimObject
         return static_cast<std::size_t>(src) * nodeInfo.size() + dst;
     }
 
+    Tick &
+    entryOf(std::uint32_t flight, std::uint32_t hop)
+    {
+        return flightEntry[static_cast<std::size_t>(flight) * maxHops +
+                           hop];
+    }
+
+    Tick
+    entryOf(std::uint32_t flight, std::uint32_t hop) const
+    {
+        return flightEntry[static_cast<std::size_t>(flight) * maxHops +
+                           hop];
+    }
+
     void sendAt(Tick enter, NodeId src, NodeId dst,
                 std::uint32_t bytes, afa::sim::EventFn on_delivered);
-    afa::sim::EventHandle atInternal(Tick when, afa::sim::EventFn fn);
-    void hop(NodeId at, NodeId dst, std::uint32_t bytes,
-             afa::sim::EventFn on_delivered, DeliverCtx ctx,
-             Tick enter);
-    void setLinkFaultRate(std::size_t link_idx, double rate);
+    afa::sim::EventHandle scheduleDelivery(Tick arrive, NodeId dst,
+                                           afa::sim::EventFn cb);
+    bool before(std::uint32_t a, std::uint32_t a_hop, std::uint32_t b,
+                std::uint32_t b_hop) const;
+    Tick positionTick(std::uint32_t flight, std::uint32_t hop) const;
+    Tick transit(std::size_t link_idx, Tick enter, std::uint32_t bytes,
+                 std::uint16_t *replays);
+    void walk(std::uint32_t flight, std::uint32_t hop);
+    void drainWork();
+    bool nextWork(std::uint32_t &flight, std::uint32_t &hop);
+    void prune(std::size_t link_idx);
+    void revokeFrom(std::size_t link_idx, std::size_t pos, Tick by);
+    void revokeStarting(std::size_t link_idx);
+    bool lateInFlight(bool shipped);
+    void noteLate(Tick old_arrive, Tick arrive);
+    std::uint32_t allocFlight();
     bool routeFaulted(std::uint32_t first, std::uint32_t last) const;
-    DeliverCtx beginChain();
-    void finishChained(const DeliverCtx &ctx);
-    void scheduleDelivery(Tick arrive, NodeId dst,
-                          afa::sim::EventFn cb, const DeliverCtx &ctx);
-    std::uint32_t allocFlight(std::uint32_t path_first, NodeId dst,
-                              std::uint32_t bytes);
-    void freeFlight(std::uint32_t idx);
-    void completeFlight(std::uint32_t idx);
-    void pruneExpired(std::size_t link_idx);
-    void displaceEarlier(std::size_t link_idx, Tick enter);
-    void cutReservations(std::size_t link_idx, std::size_t pos,
-                         std::vector<std::uint32_t> &work,
-                         std::vector<std::uint32_t> &all);
+    void setLinkFaultRate(std::size_t link_idx, double rate);
     std::size_t linkIndex(NodeId from, NodeId to) const;
     void checkNode(NodeId id) const;
     [[noreturn]] void fatalNoRoute(NodeId at, NodeId dst) const;

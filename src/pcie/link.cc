@@ -48,25 +48,21 @@ Link::transfer(Tick now, Bytes bytes)
     return busyHorizon + linkParams.propagation;
 }
 
-Tick
-Link::occupy(Tick entry, Bytes bytes)
-{
-    assert(freeAt(entry) && "occupy() on a busy link");
-    return transfer(entry, bytes);
-}
-
 void
-Link::unoccupy(Tick prev_horizon, Bytes bytes)
+Link::revoke(Tick entry, Tick prev_horizon, Bytes bytes, unsigned count)
 {
     assert(prev_horizon <= busyHorizon &&
-           "unoccupy() would advance the busy horizon");
-    Tick ser = serialization(bytes);
-    assert(totalTransfers > 0 && totalBytes >= bytes.count() &&
-           totalBusy >= ser && "unoccupy() without matching occupy()");
+           "revoke() would advance the busy horizon");
+    const Tick ser = serialization(bytes) * count;
+    const Tick queued = prev_horizon > entry ? prev_horizon - entry : 0;
+    assert(totalTransfers >= count &&
+           totalBytes >= bytes.count() * count && totalBusy >= ser &&
+           totalQueueDelay >= queued && "revoke() without transfers");
     busyHorizon = prev_horizon;
-    totalBytes -= bytes.count();
-    --totalTransfers;
+    totalBytes -= bytes.count() * count;
+    totalTransfers -= count;
     totalBusy -= ser;
+    totalQueueDelay -= queued;
 }
 
 } // namespace afa::pcie

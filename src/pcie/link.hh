@@ -56,31 +56,16 @@ class Link
     Tick transfer(Tick now, Bytes bytes);
 
     /**
-     * True when a transfer entering at @p when would start serialising
-     * immediately (no queueing behind the busy horizon).
+     * Revoke the last transfers on the link: @p count transfers of
+     * @p bytes, the first of which entered at @p entry when the busy
+     * horizon was @p prev_horizon (any further ones are back-to-back
+     * replays, which never queue). Restores the horizon and undoes
+     * the byte/transfer/busy/queue-delay accounting. Valid only while
+     * nothing later has been transferred on the link (the fabric
+     * revokes strictly from the tail of each link's service order).
      */
-    bool freeAt(Tick when) const { return busyHorizon <= when; }
-
-    /**
-     * Reserve the link for a transfer that is known to start
-     * serialising exactly at @p entry (precondition: freeAt(entry)).
-     *
-     * Same accounting and same returned arrival tick as
-     * transfer(entry, bytes); the separate name documents the fabric
-     * fast path's contract that no queueing occurs.
-     */
-    Tick occupy(Tick entry, Bytes bytes);
-
-    /**
-     * Revoke an occupy() whose reservation has not started: restore
-     * the pre-occupy busy horizon @p prev_horizon and undo the
-     * byte/transfer/busy accounting for @p bytes. Valid only while the
-     * revoked reservation is the last occupancy on the link (the
-     * fabric revokes strictly from the tail of each link's pending
-     * reservation list); occupy() charged zero queue delay, so there
-     * is none to undo.
-     */
-    void unoccupy(Tick prev_horizon, Bytes bytes);
+    void revoke(Tick entry, Tick prev_horizon, Bytes bytes,
+                unsigned count);
 
     /** Serialization time for @p bytes without queueing. */
     Tick serialization(Bytes bytes) const;

@@ -1,6 +1,7 @@
 #include "workload/fio_job.hh"
 
 #include <cctype>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -50,6 +51,10 @@ parseSize(const std::string &text, const char *key)
 {
     if (text.empty())
         afa::sim::fatal("fio: empty value for %s", key);
+    // std::stoull would accept (and wrap) a sign or skip whitespace.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        afa::sim::fatal("fio: %s must be a non-negative number, got '%s'",
+                        key, text.c_str());
     std::size_t idx = 0;
     unsigned long long v = 0;
     try {
@@ -79,13 +84,45 @@ parseSize(const std::string &text, const char *key)
             afa::sim::fatal("fio: trailing junk in '%s' for %s",
                             text.c_str(), key);
     }
+    if (v > std::numeric_limits<std::uint64_t>::max() / mult)
+        afa::sim::fatal("fio: %s '%s' out of range", key, text.c_str());
     return v * mult;
+}
+
+/** parseSize() bounded to [lo, hi]. */
+std::uint64_t
+parseBounded(const std::string &text, const char *key, std::uint64_t lo,
+             std::uint64_t hi)
+{
+    const std::uint64_t v = parseSize(text, key);
+    if (v < lo || v > hi)
+        afa::sim::fatal("fio: %s must be in [%llu, %llu], got '%s'", key,
+                        static_cast<unsigned long long>(lo),
+                        static_cast<unsigned long long>(hi),
+                        text.c_str());
+    return v;
+}
+
+/** Parse an fio boolean: 0/1/true/false. */
+bool
+parseBool(const std::string &text, const char *key)
+{
+    if (text == "1" || text == "true")
+        return true;
+    if (text == "0" || text == "false")
+        return false;
+    afa::sim::fatal("fio: %s must be 0, 1, true or false, got '%s'", key,
+                    text.c_str());
 }
 
 /** Parse fio duration spellings: 120 (seconds), 500ms, 30s, 2m. */
 Tick
 parseDuration(const std::string &text, const char *key)
 {
+    if (text.empty() || !(std::isdigit(static_cast<unsigned char>(text[0])) ||
+                          text[0] == '.'))
+        afa::sim::fatal("fio: %s must be a non-negative duration, got "
+                        "'%s'", key, text.c_str());
     std::size_t idx = 0;
     double v = 0.0;
     try {
@@ -94,6 +131,9 @@ parseDuration(const std::string &text, const char *key)
         afa::sim::fatal("fio: bad duration '%s' for %s", text.c_str(),
                         key);
     }
+    // Larger values (in any unit) would overflow Tick.
+    if (v > 1e8)
+        afa::sim::fatal("fio: %s '%s' out of range", key, text.c_str());
     std::string suffix = text.substr(idx);
     if (suffix.empty() || suffix == "s")
         return afa::sim::sec(v);
@@ -144,24 +184,21 @@ FioJob::parse(const std::string &spec)
         } else if (key == "rw") {
             job.rw = parseRwMode(value);
         } else if (key == "bs") {
-            auto size = parseSize(value, "bs");
-            if (size == 0 || size % 4096 != 0)
+            auto size = parseBounded(
+                value, "bs", 1, std::numeric_limits<std::uint32_t>::max());
+            if (size % 4096 != 0)
                 afa::sim::fatal("fio: bs must be a positive multiple "
                                 "of 4k, got '%s'",
                                 value.c_str());
             job.blockSize = static_cast<std::uint32_t>(size);
         } else if (key == "iodepth") {
             job.ioDepth = static_cast<unsigned>(
-                parseSize(value, "iodepth"));
-            if (job.ioDepth == 0)
-                afa::sim::fatal("fio: iodepth must be >= 1");
+                parseBounded(value, "iodepth", 1, 65536));
         } else if (key == "runtime") {
             job.runtime = parseDuration(value, "runtime");
         } else if (key == "rwmixread") {
             job.rwMixRead = static_cast<unsigned>(
-                parseSize(value, "rwmixread"));
-            if (job.rwMixRead > 100)
-                afa::sim::fatal("fio: rwmixread must be 0..100");
+                parseBounded(value, "rwmixread", 0, 100));
         } else if (key == "offset") {
             job.offsetBlocks = parseSize(value, "offset") / 4096;
         } else if (key == "size") {
@@ -171,11 +208,11 @@ FioJob::parse(const std::string &spec)
                 afa::host::parseCpuList(value));
         } else if (key == "rtprio") {
             job.rtPriority = static_cast<int>(
-                parseSize(value, "rtprio"));
+                parseBounded(value, "rtprio", 0, 99));
         } else if (key == "thinktime") {
             job.thinkTime = parseDuration(value, "thinktime");
         } else if (key == "polling" || key == "hipri") {
-            job.polling = value == "1" || value == "true";
+            job.polling = parseBool(value, key.c_str());
         } else if (key == "direct" || key == "ioengine" ||
                    key == "group_reporting" || key == "numjobs") {
             // Accepted-and-ignored fio options: the model is always

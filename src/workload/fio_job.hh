@@ -77,7 +77,11 @@ struct FioJob
      * Parse "key=value" options (whitespace or comma separated) into
      * a job, starting from the defaults above. Unknown keys are
      * fatal. Supported keys: name, rw, bs, iodepth, runtime,
-     * rwmixread, offset, size, cpus_allowed, rtprio, thinktime.
+     * rwmixread, offset, size, cpus_allowed, rtprio, thinktime,
+     * polling/hipri. Numbers and durations are unsigned (a sign is
+     * fatal, never wrapped) and range-checked: iodepth 1..65536,
+     * rwmixread 0..100, rtprio 0..99; polling/hipri take only
+     * 0/1/true/false.
      */
     static FioJob parse(const std::string &spec);
 };

@@ -14,6 +14,7 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
 
 #include "nand/nand_array.hh"
 #include "nvme/ftl.hh"
@@ -41,6 +42,14 @@ struct GeometryCase
     double overProvision;
     double formatWeight; ///< relative chance of a format op
 };
+
+// Without this gtest prints the case as raw bytes, including the
+// address of `name`, so the ctest name would change on every build.
+void
+PrintTo(const GeometryCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class FtlPropertyTest : public ::testing::TestWithParam<GeometryCase>
 {

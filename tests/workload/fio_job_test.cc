@@ -108,6 +108,35 @@ TEST_F(FioJobTest, Errors)
     EXPECT_THROW(FioJob::parse("notkeyvalue"), afa::sim::SimError);
 }
 
+TEST_F(FioJobTest, SignedAndOutOfRangeValuesAreFatal)
+{
+    // A leading sign used to wrap through std::stoull: iodepth=-3
+    // became a huge depth (and a bad_alloc), rtprio=-1 and size=-4k
+    // silently wrapped.
+    for (const char *spec :
+         {"iodepth=-3", "rtprio=-1", "size=-4k", "offset=-1",
+          "bs=-4k", "rwmixread=-1", "iodepth=+2", "iodepth= 2",
+          "iodepth=4294967297", "iodepth=65537", "rtprio=100",
+          "size=99999999999999999999", "size=17179869184g",
+          "runtime=-5", "thinktime=-1ms", "runtime=inf",
+          "runtime=1e300", "runtime=2e8m"})
+        EXPECT_THROW(FioJob::parse(spec), afa::sim::SimError) << spec;
+    EXPECT_EQ(FioJob::parse("iodepth=65536").ioDepth, 65536u);
+    EXPECT_EQ(FioJob::parse("rtprio=0").rtPriority, 0);
+}
+
+TEST_F(FioJobTest, PollingAcceptsOnlyBooleans)
+{
+    EXPECT_TRUE(FioJob::parse("hipri=1").polling);
+    EXPECT_TRUE(FioJob::parse("polling=true").polling);
+    EXPECT_FALSE(FioJob::parse("hipri=0").polling);
+    EXPECT_FALSE(FioJob::parse("polling=false").polling);
+    // hipri=on used to mean "off" without a word.
+    for (const char *spec : {"hipri=on", "polling=yes", "hipri=2",
+                             "polling="})
+        EXPECT_THROW(FioJob::parse(spec), afa::sim::SimError) << spec;
+}
+
 TEST_F(FioJobTest, RtPriority)
 {
     FioJob job = FioJob::parse("rtprio=99");

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
@@ -45,6 +46,14 @@ struct SeriesCase
     bool expectSteady;
     std::size_t expectAtRound; // when steady
 };
+
+// Without this gtest prints the case as raw bytes, including heap
+// addresses, so the ctest name would change on every build.
+void
+PrintTo(const SeriesCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class SteadyStateCases : public ::testing::TestWithParam<SeriesCase>
 {
