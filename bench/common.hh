@@ -3,76 +3,8 @@
  * Shared plumbing for the figure benches: option parsing into
  * ExperimentParams and the standard report block.
  *
- * Common flags:
- *   --ssds N          devices (default 64, the paper's host slice)
- *   --runtime-ms M    per-run measurement (default 4000; the paper
- *                     ran 120000 -- pass it for full fidelity)
- *   --seed S          root random seed
- *   --smart-period-ms SMART cadence (default 1000; paper ~30000,
- *                     scaled so spikes-per-run matches 120s/30s)
- *   --irqbalance-ms   irqbalance rescan cadence (default 1000;
- *                     daemon default 10000, same scaling)
- *   --csv             emit CSV instead of aligned tables
- *   --per-device      also print the full 64-row per-device ladder
- *   --report          append the system attribution report
- *   --jobs N          worker threads for the run plan (default 1;
- *                     0 = all hardware threads). Results are
- *                     bit-identical to a serial run.
- *   --shards N        event-core shards inside every run (default 1).
- *                     Partitions the SSD subtrees over N conservative
- *                     shards; results are bit-identical to --shards 1,
- *                     only faster. Composes with --jobs (threads used
- *                     = jobs * shards).
- *   --seeds N         replicate every run with seeds S..S+N-1 and
- *                     aggregate the ladders across replicas
- *   --metrics-json F  also write the per-run metrics JSON to file F
- *                     (includes the system metrics when tracing is on)
- *   --trace C[,C...]  enable span tracing for the listed categories
- *                     (workload,sched,pcie,nvme,smart,ftl,nand,irq,
- *                     fault or "all"); results stay bit-identical,
- *                     only telemetry is added
- *   --faults F        load a fault plan from spec file F and inject
- *                     it into every run (see src/fault/fault_plan.hh
- *                     for the spec format); arms the driver
- *                     timeout/retry policy and publishes the fault
- *                     counters in --metrics-json
- *   --fault-summary   print the parsed fault plan before running
- *   --trace-out F     write a Chrome/Perfetto trace-event JSON of the
- *                     last reported figure's first run to file F
- *                     (implies --trace all when --trace is absent)
- *   --attribution     print the per-stage latency attribution table
- *                     under every figure (implies --trace all when
- *                     --trace is absent)
- *   --device-fastpath B  single-event device command fast path
- *                     (default 1). 0 forces the chained event model;
- *                     results are bit-identical, only slower -- the
- *                     A/B is the exactness check (DESIGN.md §9)
- *   --telemetry W     sample a windowed telemetry timeline every W
- *                     simulated milliseconds (DESIGN.md §14): per-
- *                     stage latency histograms with ACT-style
- *                     exceed counters, counter/gauge series, and
- *                     the simulator self-profile. Figures stay
- *                     byte-identical with or without it
- *   --telemetry-out F write the timeline as JSON lines to file F
- *                     (implies --telemetry 100 when absent)
- *   --telemetry-csv F write the timeline as tidy CSV to file F
- *                     (implies --telemetry 100 when absent)
- *
- * Open-loop traffic flags (DESIGN.md §15). A non-zero --rate switches
- * the run from closed-loop FIO threads to the arrival-driven
- * OpenLoopEngine:
- *   --rate R          aggregate offered load in ops/sec (0 = closed
- *                     loop, the default)
- *   --duration-ms M   open-loop measurement duration (alias of
- *                     --runtime-ms; the latter wins when both given)
- *   --mix P           read percentage of the mixed workload
- *                     (default 100 = pure reads)
- *   --zipf T          zipfian theta in [0, 1) for hot-spot device
- *                     addressing (default 0 = uniform)
- *   --burst B         burst factor: arrivals come from an on/off
- *                     process firing at B x the mean rate with duty
- *                     cycle 1/B (default 1 = plain Poisson)
- *   --streams N       independent submitter streams (default 4)
+ * Every bench accepts the common flags listed in kCommonUsage; --help
+ * prints them and exits before anything is built.
  */
 
 #ifndef AFA_BENCH_COMMON_HH
@@ -80,6 +12,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -92,6 +25,79 @@
 #include "sim/logging.hh"
 
 namespace afa::bench {
+
+/** The common flags, as --help prints them. */
+inline constexpr const char *kCommonUsage = R"(Common flags:
+  --ssds N          devices (default 64, the paper's host slice)
+  --runtime-ms M    per-run measurement (default 4000; the paper
+                    ran 120000 -- pass it for full fidelity)
+  --seed S          root random seed
+  --smart-period-ms SMART cadence (default 1000; paper ~30000,
+                    scaled so spikes-per-run matches 120s/30s)
+  --irqbalance-ms   irqbalance rescan cadence (default 1000;
+                    daemon default 10000, same scaling)
+  --csv             emit CSV instead of aligned tables
+  --per-device      also print the full 64-row per-device ladder
+  --report          append the system attribution report
+  --jobs N          worker threads for the run plan (default 1;
+                    0 = all hardware threads). Results are
+                    bit-identical to a serial run.
+  --shards N        event-core shards inside every run (default 1).
+                    Partitions the SSD subtrees over N conservative
+                    shards; results are bit-identical to --shards 1,
+                    only faster. Composes with --jobs (threads used
+                    = jobs * shards).
+  --seeds N         replicate every run with seeds S..S+N-1 and
+                    aggregate the ladders across replicas
+  --metrics-json F  also write the per-run metrics JSON to file F
+                    (includes the system metrics when tracing is on)
+  --trace C[,C...]  enable span tracing for the listed categories
+                    (workload,sched,pcie,nvme,smart,ftl,nand,irq,
+                    fault or "all"); results stay bit-identical,
+                    only telemetry is added
+  --faults F        load a fault plan from spec file F and inject
+                    it into every run (see src/fault/fault_plan.hh
+                    for the spec format); arms the driver
+                    timeout/retry policy and publishes the fault
+                    counters in --metrics-json
+  --fault-summary   print the parsed fault plan before running
+  --trace-out F     write a Chrome/Perfetto trace-event JSON of the
+                    last reported figure's first run to file F
+                    (implies --trace all when --trace is absent)
+  --attribution     print the per-stage latency attribution table
+                    under every figure (implies --trace all when
+                    --trace is absent)
+  --device-fastpath B  single-event device command fast path
+                    (default 1). 0 forces the chained event model;
+                    results are bit-identical, only slower -- the
+                    A/B is the exactness check (DESIGN.md §9)
+  --telemetry W     sample a windowed telemetry timeline every W
+                    simulated milliseconds (DESIGN.md §14): per-
+                    stage latency histograms with ACT-style
+                    exceed counters, counter/gauge series, and
+                    the simulator self-profile. Figures stay
+                    byte-identical with or without it
+  --telemetry-out F write the timeline as JSON lines to file F
+                    (implies --telemetry 100 when absent)
+  --telemetry-csv F write the timeline as tidy CSV to file F
+                    (implies --telemetry 100 when absent)
+
+Open-loop traffic flags (DESIGN.md §15). A non-zero --rate switches
+the run from closed-loop FIO threads to the arrival-driven
+OpenLoopEngine:
+  --rate R          aggregate offered load in ops/sec (0 = closed
+                    loop, the default)
+  --duration-ms M   open-loop measurement duration (alias of
+                    --runtime-ms; the latter wins when both given)
+  --mix P           read percentage of the mixed workload
+                    (default 100 = pure reads)
+  --zipf T          zipfian theta in [0, 1) for hot-spot device
+                    addressing (default 0 = uniform)
+  --burst B         burst factor: arrivals come from an on/off
+                    process firing at B x the mean rate with duty
+                    cycle 1/B (default 1 = plain Poisson)
+  --streams N       independent submitter streams (default 4)
+)";
 
 struct BenchOptions
 {
@@ -112,6 +118,12 @@ parseOptions(int argc, char **argv)
 {
     afa::sim::Config cfg;
     cfg.parseArgs(argc - 1, argv + 1);
+    if (cfg.has("help")) {
+        // Before any system is built: --help used to run the full
+        // default figure.
+        std::printf("usage: %s [flags]\n\n%s", argv[0], kCommonUsage);
+        std::exit(0);
+    }
     BenchOptions opts;
     auto &p = opts.params;
     p.ssds = static_cast<unsigned>(cfg.getUint("ssds", 64));

@@ -63,7 +63,8 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
         sim, "irq", *sched, params.ssds, tracer);
     bg = std::make_unique<afa::host::BackgroundLoad>(
         sim, "bg", *sched, params.background);
-    driver = std::make_unique<Driver>(*this);
+    driver = std::make_unique<Driver>(*this, params.ssds);
+    ships.resize(params.ssds);
 
     // SSDs. Each device subtree is built (and later started) under
     // its own ShardScope so every event it schedules lands on its
@@ -78,11 +79,8 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
         afa::nvme::Controller &ctrl = *ctrls.back();
         ctrl.setFastPath(params.deviceFastPath);
         ctrl.setQueuePairs(sched->topology().logicalCpus());
-        afa::pcie::NodeId dev_node = fabricTopo.ssds[d];
-        afa::pcie::NodeId host_node = fabricTopo.host;
-        ctrl.setTransport([this, dev_node, host_node, d](
-                              std::uint32_t bytes, std::uint64_t io,
-                              afa::sim::EventFn fn) {
+        ctrl.setTransport([this, d](std::uint32_t bytes, std::uint64_t io,
+                                    afa::sim::EventFn fn) {
             // Device -> fabric: "ship" the send to the fabric's shard
             // one lookahead later, backdating the fabric entry to the
             // device-side tick. Exact because the device's edge link
@@ -93,19 +91,26 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
             // the same ordering band, so simultaneous completions
             // from different devices walk the fabric in the same
             // canonical ascending-endpoint order at any shard count.
+            // The send is parked in the device's ship pool so the
+            // shipped closure stays inline.
             const afa::sim::Tick entry = sim.now();
+            auto *slot = ships[d].acquire();
+            slot->value.entry = entry;
+            slot->value.bytes = bytes;
+            slot->value.io = io;
+            slot->value.fn = std::move(fn);
             sim.scheduleOnShard(
                 0, entry + sim.lookahead(),
-                [this, entry, dev_node, host_node, bytes, io, d,
-                 fn = std::move(fn)]() mutable {
+                [this, slot, d] {
+                    Ship ship = afa::sim::HandoffPool<Ship>::take(slot);
                     pcieFabric->sendSpannedAt(
-                        entry, dev_node, host_node, bytes, io,
-                        afa::obs::ssdTrack(d),
+                        ship.entry, fabricTopo.ssds[d], fabricTopo.host,
+                        ship.bytes, ship.io, afa::obs::ssdTrack(d),
                         afa::obs::Stage::FabricComplete,
-                        std::move(fn));
+                        std::move(ship.fn));
                 },
                 /*internal=*/true,
-                /*order=*/2 + dev_node);
+                /*order=*/2 + fabricTopo.ssds[d]);
         });
         ctrl.setCompletionHandler(
             [this, d](const NvmeCompletion &completion) {
@@ -363,6 +368,56 @@ AfaSystem::publishMetrics(afa::obs::MetricsRegistry &registry) const
 // Driver
 // ---------------------------------------------------------------------
 
+const AfaSystem::Driver::IdEntry *
+AfaSystem::Driver::findId(std::uint64_t id) const
+{
+    if (idTable.empty())
+        return nullptr;
+    const IdEntry &e = idTable[id & (idTable.size() - 1)];
+    return e.id == id ? &e : nullptr;
+}
+
+void
+AfaSystem::Driver::mapId(std::uint64_t id, std::uint32_t slot)
+{
+    if (idTable.empty())
+        idTable.resize(256);
+    while (idTable[id & (idTable.size() - 1)].id != 0)
+        growIdTable();
+    idTable[id & (idTable.size() - 1)] = IdEntry{id, slot};
+    ++liveIds;
+}
+
+void
+AfaSystem::Driver::growIdTable()
+{
+    // Double until every live id has an entry of its own.
+    for (std::size_t size = 2 * idTable.size();; size *= 2) {
+        std::vector<IdEntry> grown(size);
+        bool clash = false;
+        for (const IdEntry &e : idTable) {
+            if (e.id == 0)
+                continue;
+            IdEntry &dst = grown[e.id & (size - 1)];
+            clash = dst.id != 0;
+            if (clash)
+                break;
+            dst = e;
+        }
+        if (!clash) {
+            idTable.swap(grown);
+            return;
+        }
+    }
+}
+
+void
+AfaSystem::Driver::unmapId(std::uint64_t id)
+{
+    idTable[id & (idTable.size() - 1)] = IdEntry{};
+    --liveIds;
+}
+
 void
 AfaSystem::Driver::submit(unsigned cpu,
                           const afa::workload::IoRequest &request,
@@ -371,17 +426,18 @@ AfaSystem::Driver::submit(unsigned cpu,
     if (request.device >= sys.ctrls.size())
         afa::sim::panic("driver: device %u out of range",
                         request.device);
-    std::uint64_t id = nextCmdId++;
-    inFlight.emplace(id, Pending{std::move(on_device_complete),
-                                 request.tag, request, cpu, 0, {}});
-    startAttempt(id);
+    const std::uint32_t slot = pendings.acquire();
+    pendings[slot] = Pending{std::move(on_device_complete), request.tag,
+                             request, cpu, 0, {}};
+    startAttempt(slot);
 }
 
 void
-AfaSystem::Driver::startAttempt(std::uint64_t id)
+AfaSystem::Driver::startAttempt(std::uint32_t slot)
 {
-    auto it = inFlight.find(id);
-    Pending &pending = it->second;
+    const std::uint64_t id = nextCmdId++;
+    mapId(id, slot);
+    Pending &pending = pendings[slot];
     const afa::workload::IoRequest &request = pending.req;
     const unsigned cpu = pending.cpu;
 
@@ -392,7 +448,11 @@ AfaSystem::Driver::startAttempt(std::uint64_t id)
             sys.sysParams.faults->nvmeTimeout,
             [this, id] { onTimeout(id); });
 
-    NvmeCommand cmd;
+    // The command travels parked in the device's SQE pool: it must
+    // reach the controller as sent even if this attempt times out
+    // (and its slot is reused) while the SQE is in flight.
+    auto *sqe = sqes[request.device].acquire();
+    NvmeCommand &cmd = sqe->value;
     cmd.op = request.op;
     cmd.lba = request.lba;
     cmd.bytes = request.bytes;
@@ -402,31 +462,35 @@ AfaSystem::Driver::startAttempt(std::uint64_t id)
     cmd.tag = request.tag;
 
     afa::nvme::Controller *ctrl = sys.ctrls[request.device].get();
-    sys.pcieFabric->sendSpanned(sys.fabricTopo.host,
-                                sys.fabricTopo.ssds[request.device],
-                                sys.sysParams.sqeBytes, cmd.tag,
-                                afa::obs::cpuTrack(cpu),
-                                afa::obs::Stage::FabricSubmit,
-                                [ctrl, cmd] { ctrl->submit(cmd); });
+    sys.pcieFabric->sendSpanned(
+        sys.fabricTopo.host, sys.fabricTopo.ssds[request.device],
+        sys.sysParams.sqeBytes, cmd.tag, afa::obs::cpuTrack(cpu),
+        afa::obs::Stage::FabricSubmit, [ctrl, sqe] {
+            ctrl->submit(
+                afa::sim::HandoffPool<NvmeCommand>::take(sqe));
+        });
 }
 
 void
 AfaSystem::Driver::onTimeout(std::uint64_t id)
 {
-    auto it = inFlight.find(id);
-    if (it == inFlight.end())
+    const IdEntry *entry = findId(id);
+    if (!entry)
         afa::sim::panic("driver: timeout for unknown command %llu",
                         (unsigned long long)id);
     ++drvStats.timeouts;
-    Pending pending = std::move(it->second);
-    inFlight.erase(it);
+    const std::uint32_t slot = entry->slot;
+    unmapId(id);
+    Pending &pending = pendings[slot];
     const afa::fault::FaultPlan &plan = *sys.sysParams.faults;
     if (pending.attempts >= plan.maxRetries) {
         // Retry budget exhausted: fail the IO back to the submitter
         // on its own CPU (no interrupt fires for an abort).
         ++drvStats.aborts;
-        pending.fn(afa::workload::IoResult{
-            pending.cpu, afa::nvme::Status::TimedOut});
+        CompleteFn fn = std::move(pending.fn);
+        const unsigned cpu = pending.cpu;
+        pendings.release(slot);
+        fn(afa::workload::IoResult{cpu, afa::nvme::Status::TimedOut});
         return;
     }
     ++drvStats.retries;
@@ -437,17 +501,14 @@ AfaSystem::Driver::onTimeout(std::uint64_t id)
                                sys.sim.now(), sys.sim.now() + backoff,
                                afa::obs::cpuTrack(pending.cpu));
     ++backoffWaits;
-    sys.sim.scheduleAfter(
-        backoff, [this, pending = std::move(pending)]() mutable {
-            --backoffWaits;
-            // Resubmit under a fresh command id so a late completion
-            // of the timed-out attempt can be told apart (it counts
-            // as stale in onCompletion()).
-            std::uint64_t id = nextCmdId++;
-            ++pending.attempts;
-            inFlight.emplace(id, std::move(pending));
-            startAttempt(id);
-        });
+    sys.sim.scheduleAfter(backoff, [this, slot] {
+        --backoffWaits;
+        // Resubmit under a fresh command id so a late completion of
+        // the timed-out attempt can be told apart (it counts as stale
+        // in onCompletion()).
+        ++pendings[slot].attempts;
+        startAttempt(slot);
+    });
 }
 
 std::uint64_t
@@ -462,8 +523,8 @@ void
 AfaSystem::Driver::onCompletion(unsigned device,
                                 const NvmeCompletion &completion)
 {
-    auto it = inFlight.find(completion.cmdId);
-    if (it == inFlight.end()) {
+    const IdEntry *entry = findId(completion.cmdId);
+    if (!entry) {
         if (sys.sysParams.faults) {
             // The driver already timed this attempt out (and retried
             // or aborted the IO); the device's late answer is dropped
@@ -474,22 +535,29 @@ AfaSystem::Driver::onCompletion(unsigned device,
         afa::sim::panic("driver: completion for unknown command %llu",
                         (unsigned long long)completion.cmdId);
     }
-    Pending pending = std::move(it->second);
-    inFlight.erase(it);
+    const std::uint32_t slot = entry->slot;
+    unmapId(completion.cmdId);
+    Pending &pending = pendings[slot];
     if (sys.sysParams.faults)
         sys.sim.cancel(pending.timeout);
     const afa::nvme::Status status = completion.status;
     if (sys.polledMode) {
         // Polled queues: the CQE sits in host memory; the submitting
         // thread's poll loop will find it. No interrupt is raised.
-        pending.fn(afa::workload::IoResult{completion.queueId, status});
+        CompleteFn fn = std::move(pending.fn);
+        pendings.release(slot);
+        fn(afa::workload::IoResult{completion.queueId, status});
         return;
     }
     // Deliver through the MSI-X vector of (device, submit queue);
     // its affinity decides which CPU pays the hardirq/softirq cost.
+    // The slot stays taken until the handler runs; the handler
+    // captures only [this, slot, status], which fits std::function's
+    // inline buffer.
     sys.irqSub->raise(device, completion.queueId,
-                      [fn = std::move(pending.fn),
-                       status](unsigned handler_cpu) {
+                      [this, slot, status](unsigned handler_cpu) {
+                          CompleteFn fn = std::move(pendings[slot].fn);
+                          pendings.release(slot);
                           fn(afa::workload::IoResult{handler_cpu,
                                                      status});
                       },

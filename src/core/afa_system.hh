@@ -14,7 +14,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault_engine.hh"
@@ -25,6 +24,7 @@
 #include "nvme/controller.hh"
 #include "pcie/afa_topology.hh"
 #include "pcie/fabric.hh"
+#include "sim/slot_pool.hh"
 #include "workload/io_engine.hh"
 
 namespace afa::obs {
@@ -193,7 +193,10 @@ class AfaSystem
     class Driver : public afa::workload::IoEngine
     {
       public:
-        explicit Driver(AfaSystem &system) : sys(system) {}
+        Driver(AfaSystem &system, unsigned ssds)
+            : sys(system), sqes(ssds)
+        {
+        }
 
         void submit(unsigned cpu,
                     const afa::workload::IoRequest &request,
@@ -205,13 +208,14 @@ class AfaSystem
 
         std::size_t outstanding() const
         {
-            return inFlight.size() + backoffWaits;
+            return liveIds + backoffWaits;
         }
 
         const DriverStats &stats() const { return drvStats; }
 
       private:
-        /** One submitted-not-yet-completed command attempt. */
+        /** One IO, from submit() until its completion callback runs
+         *  (across retries; each attempt has its own command id). */
         struct Pending
         {
             CompleteFn fn;
@@ -222,16 +226,48 @@ class AfaSystem
             afa::sim::EventHandle timeout;///< armed only with a plan
         };
 
-        void startAttempt(std::uint64_t id);
+        /** A live command id and the Pending slot it belongs to. */
+        struct IdEntry
+        {
+            std::uint64_t id = 0; ///< 0 = empty (ids start at 1)
+            std::uint32_t slot = 0;
+        };
+
+        void startAttempt(std::uint32_t slot);
         void onTimeout(std::uint64_t id);
+        /** The slot of live command @p id, or nullptr. */
+        const IdEntry *findId(std::uint64_t id) const;
+        void mapId(std::uint64_t id, std::uint32_t slot);
+        void unmapId(std::uint64_t id);
+        void growIdTable();
 
         AfaSystem &sys;
         std::uint64_t nextCmdId = 1;
-        std::unordered_map<std::uint64_t, Pending> inFlight;
+        afa::sim::SlotPool<Pending> pendings;
+        /**
+         * Live command ids, direct-mapped on their low bits. Ids are
+         * handed out sequentially, so live ids only collide once they
+         * span the whole table, which then doubles. Lookups are one
+         * probe and inserts never allocate in steady state.
+         */
+        std::vector<IdEntry> idTable;
+        std::size_t liveIds = 0;
+        /** Commands crossing the fabric to each device (the delivery
+         *  runs on the device's shard). */
+        std::vector<afa::sim::HandoffPool<afa::nvme::NvmeCommand>> sqes;
         /** IOs between a timeout and their backed-off resubmission
-         *  (in neither inFlight nor the device). */
+         *  (no live command id, not on the device). */
         std::size_t backoffWaits = 0;
         DriverStats drvStats;
+    };
+
+    /** A device completion on its way to the fabric's shard. */
+    struct Ship
+    {
+        afa::sim::Tick entry = 0; ///< device-side send tick
+        std::uint32_t bytes = 0;
+        std::uint64_t io = 0;
+        afa::sim::EventFn fn;
     };
 
     afa::sim::Simulator &sim;
@@ -247,6 +283,8 @@ class AfaSystem
     std::unique_ptr<Driver> driver;
     std::unique_ptr<afa::fault::FaultEngine> faults;
     std::vector<unsigned> ssdShards;
+    /** Per device: completions being shipped (see the transport). */
+    std::vector<afa::sim::HandoffPool<Ship>> ships;
     std::vector<std::function<void(afa::obs::MetricsRegistry &)>>
         extraMetricsSources;
     afa::obs::SpanLog *spanLogPtr = nullptr;

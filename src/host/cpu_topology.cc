@@ -15,6 +15,16 @@ CpuTopology::CpuTopology(const CpuTopologyParams &topo_params)
                         params.uplinkSocket);
     numPhysical = params.sockets * params.coresPerSocket;
     numLogical = numPhysical * params.threadsPerCore;
+    siblings.reserve(static_cast<std::size_t>(numLogical) *
+                     (params.threadsPerCore - 1));
+    for (unsigned cpu = 0; cpu < numLogical; ++cpu) {
+        unsigned phys = physicalCoreOf(cpu);
+        for (unsigned t = 0; t < params.threadsPerCore; ++t) {
+            unsigned sib = logicalCpu(phys, t);
+            if (sib != cpu)
+                siblings.push_back(sib);
+        }
+    }
 }
 
 void
@@ -47,18 +57,12 @@ CpuTopology::socketOf(unsigned cpu) const
     return physicalCoreOf(cpu) / params.coresPerSocket;
 }
 
-std::vector<unsigned>
+std::span<const unsigned>
 CpuTopology::siblingsOf(unsigned cpu) const
 {
     checkCpu(cpu);
-    std::vector<unsigned> out;
-    unsigned phys = physicalCoreOf(cpu);
-    for (unsigned t = 0; t < params.threadsPerCore; ++t) {
-        unsigned sib = logicalCpu(phys, t);
-        if (sib != cpu)
-            out.push_back(sib);
-    }
-    return out;
+    const std::size_t per_cpu = params.threadsPerCore - 1;
+    return {siblings.data() + cpu * per_cpu, per_cpu};
 }
 
 unsigned

@@ -28,6 +28,8 @@ IrqSubsystem::IrqSubsystem(afa::sim::Simulator &simulator,
     for (unsigned d = 0; d < numDevices; ++d)
         for (unsigned q = 0; q < numQueues; ++q)
             affinity[index(d, q)] = q;
+    const CpuTopology &topo = scheduler.topology();
+    nodeCpus = topo.cpusOnSocket(topo.uplinkSocket());
 }
 
 std::size_t
@@ -92,16 +94,14 @@ IrqSubsystem::balancerScan()
     if (balancerStopped || !cfg.irqBalanceEnabled)
         return;
     ++irqStats.rebalances;
-    const CpuTopology &topo = sched.topology();
     // irqbalance keeps a vector inside the NUMA node of its device;
     // the AFA hangs off the uplink socket. It spreads *busy* vectors
     // evenly over that socket's CPUs -- with no idea which CPU the
     // submitting task runs on.
-    auto node_cpus = topo.cpusOnSocket(topo.uplinkSocket());
     std::size_t next = 0;
     // Deterministic shuffle of the starting offset per scan.
     next = static_cast<std::size_t>(
-        rng().uniformInt(0, node_cpus.size() - 1));
+        rng().uniformInt(0, nodeCpus.size() - 1));
     for (unsigned d = 0; d < numDevices; ++d) {
         for (unsigned q = 0; q < numQueues; ++q) {
             std::size_t i = index(d, q);
@@ -111,7 +111,7 @@ IrqSubsystem::balancerScan()
             countsAtLastScan[i] = counts[i];
             if (!busy)
                 continue;
-            unsigned target = node_cpus[next % node_cpus.size()];
+            unsigned target = nodeCpus[next % nodeCpus.size()];
             ++next;
             if (affinity[i] != target) {
                 affinity[i] = target;
@@ -147,28 +147,36 @@ IrqSubsystem::raise(unsigned device, unsigned queue, HandlerFn handler,
         ++irqStats.crossSocket;
     }
 
-    if (spanLog && spanLog->wants(afa::obs::Category::Irq)) {
-        // Span covers raise -> handler execution: c-state exit plus
-        // the hardirq/softirq work, on the handler CPU's track. The
-        // Remote flag marks the paper's misplacement (handler CPU is
-        // not the submission queue's CPU).
-        std::uint8_t flags =
-            cpu != queue ? afa::obs::kSpanFlagRemote : std::uint8_t(0);
-        sched.interrupt(
-            cpu, cost,
-            [this, handler = std::move(handler), cpu, io, flags,
-             raised = now(), device] {
-                spanLog->record(afa::obs::Stage::IrqDeliver, io,
-                                raised, now(), afa::obs::cpuTrack(cpu),
-                                flags, device);
-                handler(cpu);
-            });
-        return;
-    }
+    const std::uint32_t slot = deliveries.acquire();
+    Delivery &dv = deliveries[slot];
+    dv.handler = std::move(handler);
+    dv.raised = now();
+    dv.io = io;
+    dv.cpu = cpu;
+    dv.device = device;
+    // The span covers raise -> handler execution: c-state exit plus
+    // the hardirq/softirq work, on the handler CPU's track. The
+    // Remote flag marks the paper's misplacement (handler CPU is not
+    // the submission queue's CPU).
+    dv.flags =
+        cpu != queue ? afa::obs::kSpanFlagRemote : std::uint8_t(0);
+    dv.span = spanLog && spanLog->wants(afa::obs::Category::Irq);
+    sched.interrupt(cpu, cost, [this, slot] { deliver(slot); });
+}
 
-    sched.interrupt(cpu, cost, [handler = std::move(handler), cpu] {
-        handler(cpu);
-    });
+void
+IrqSubsystem::deliver(std::uint32_t slot)
+{
+    Delivery &dv = deliveries[slot];
+    HandlerFn handler = std::move(dv.handler);
+    dv.handler = nullptr;
+    const unsigned cpu = dv.cpu;
+    if (dv.span)
+        spanLog->record(afa::obs::Stage::IrqDeliver, dv.io, dv.raised,
+                        now(), afa::obs::cpuTrack(cpu), dv.flags,
+                        dv.device);
+    deliveries.release(slot);
+    handler(cpu);
 }
 
 } // namespace afa::host

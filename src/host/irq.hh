@@ -25,6 +25,7 @@
 #include "host/kernel_config.hh"
 #include "host/scheduler.hh"
 #include "sim/sim_object.hh"
+#include "sim/slot_pool.hh"
 
 namespace afa::host {
 
@@ -100,11 +101,32 @@ class IrqSubsystem : public afa::sim::SimObject
     std::vector<std::uint64_t> countsAtLastScan;
     std::vector<bool> pinned;
     bool balancerStopped;
+    /** The uplink socket's CPUs: irqbalance's target set. */
+    std::vector<unsigned> nodeCpus;
+
+    /**
+     * A raised interrupt waiting out its hardirq/softirq work. The
+     * handler and span fields are parked here so the scheduled
+     * closure is just [this, slot]: a std::function plus its
+     * arguments would overflow EventFn's inline buffer.
+     */
+    struct Delivery
+    {
+        HandlerFn handler;
+        Tick raised = 0;
+        std::uint64_t io = 0;
+        unsigned cpu = 0;
+        unsigned device = 0;
+        std::uint8_t flags = 0;
+        bool span = false; ///< record an IrqDeliver span on delivery
+    };
+    afa::sim::SlotPool<Delivery> deliveries;
 
     IrqStats irqStats;
 
     std::size_t index(unsigned device, unsigned queue) const;
     void balancerScan();
+    void deliver(std::uint32_t slot);
 };
 
 } // namespace afa::host

@@ -100,6 +100,14 @@ Scheduler::createTask(const TaskParams &params)
     t.params = params;
     t.weight = weightForNice(params.nice);
     tasks.push_back(std::move(t));
+    // Every runqueue has room for every task: a wakeup never
+    // allocates, even the first time a CPU queues that many.
+    for (Cpu &c : cpus) {
+        if (c.fairQueue.capacity() < tasks.size()) {
+            c.fairQueue.reserve(2 * tasks.size());
+            c.rtQueue.reserve(2 * tasks.size());
+        }
+    }
     return static_cast<TaskId>(tasks.size() - 1);
 }
 
@@ -240,7 +248,10 @@ Scheduler::enqueue(unsigned cpu, TaskId id, bool renormalize)
                 static_cast<double>(kcfg.sched.sleeperCredit);
             t.vruntime = std::max(t.vruntime, floor);
         }
-        c.fairQueue.insert({t.vruntime, id});
+        const std::pair<double, TaskId> key{t.vruntime, id};
+        c.fairQueue.insert(std::lower_bound(c.fairQueue.begin(),
+                                            c.fairQueue.end(), key),
+                           key);
     }
 }
 
@@ -256,8 +267,10 @@ Scheduler::dequeueFromRq(unsigned cpu, TaskId id)
                             name().c_str(), t.params.name.c_str(), cpu);
         c.rtQueue.erase(it);
     } else {
-        auto it = c.fairQueue.find({t.vruntime, id});
-        if (it == c.fairQueue.end())
+        const std::pair<double, TaskId> key{t.vruntime, id};
+        auto it = std::lower_bound(c.fairQueue.begin(), c.fairQueue.end(),
+                                   key);
+        if (it == c.fairQueue.end() || *it != key)
             afa::sim::panic("%s: task %s not on fair rq %u",
                             name().c_str(), t.params.name.c_str(), cpu);
         c.fairQueue.erase(it);
@@ -690,8 +703,8 @@ Scheduler::tryPull(unsigned to_cpu)
         Task &t = task(tid);
         if (!inMask(t.params.affinity, to_cpu))
             continue;
-        // dequeueFromRq erases the set node that vrt/tid alias, so
-        // copy the id out first and never touch the bindings after.
+        // dequeueFromRq erases the entry that vrt/tid alias, so copy
+        // the id out first and never touch the bindings after.
         const unsigned pulled = tid;
         dequeueFromRq(busiest, pulled);
         // Renormalise vruntime into the new queue's frame.

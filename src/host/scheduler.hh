@@ -32,10 +32,9 @@
 #define AFA_HOST_SCHEDULER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "host/cpu_topology.hh"
@@ -193,11 +192,14 @@ class Scheduler : public afa::sim::SimObject
     {
         TaskId current = kNoTask;
         Tick currentStarted = 0;
-        /// CFS runqueue ordered by vruntime.
-        std::set<std::pair<double, TaskId>> fairQueue;
+        /// CFS runqueue: sorted ascending by (vruntime, id). A flat
+        /// vector: runqueues hold a handful of tasks, so shifting on
+        /// insert is cheaper than a tree node per enqueue, and the
+        /// capacity is reused instead of allocated on every wakeup.
+        std::vector<std::pair<double, TaskId>> fairQueue;
         /// FIFO runqueue ordered by priority (higher first), FIFO
         /// within a priority.
-        std::deque<TaskId> rtQueue;
+        std::vector<TaskId> rtQueue;
         double minVruntime = 0.0;
         TaskId lastTask = kNoTask;   ///< for cache pollution
         Tick irqBusyUntil = 0;

@@ -1,7 +1,6 @@
 #include "nvme/controller.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "obs/span_log.hh"
 #include "sim/logging.hh"
@@ -216,38 +215,92 @@ Controller::submit(const NvmeCommand &cmd)
     }
 }
 
-void
-Controller::finishRead(const NvmeCommand &cmd, Tick hiccup,
-                       Tick media_begin, Tick media_done)
+std::uint32_t
+Controller::park(const NvmeCommand &cmd, std::uint64_t blocks)
 {
-    Tick xfer_ready = media_done + hiccup;
+    const std::uint32_t slot = chained.acquire();
+    chained[slot] = Chained{cmd, blocks, 0, 0, 0, 0};
+    return slot;
+}
+
+void
+Controller::finishRead(std::uint32_t slot)
+{
+    const Chained &c = chained[slot];
+    Tick xfer_ready = c.mediaDone + c.hiccup;
     if (limp != 1.0) {
         // Limping device: the media stage takes `limp` times as
         // long; charge the excess after the healthy window.
         Tick extra = static_cast<Tick>(
-            static_cast<double>(media_done - media_begin) *
+            static_cast<double>(c.mediaDone - c.mediaBegin) *
             (limp - 1.0));
         ctrlStats.faultStallDelay += extra;
         if (extra && spanLog &&
             spanLog->wants(afa::obs::Category::Fault))
-            spanLog->record(afa::obs::Stage::FaultStall, cmd.tag,
+            spanLog->record(afa::obs::Stage::FaultStall, c.cmd.tag,
                             xfer_ready, xfer_ready + extra, spanTrack);
         xfer_ready += extra;
     }
-    Tick xfer_done = throughXfer(xfer_ready, afa::sim::Bytes{cmd.bytes});
+    Tick xfer_done =
+        throughXfer(xfer_ready, afa::sim::Bytes{c.cmd.bytes});
     if (spanLog && spanLog->wants(afa::obs::Category::Nvme)) {
-        spanLog->record(afa::obs::Stage::MediaRead, cmd.tag,
-                        media_begin, media_done, spanTrack);
-        spanLog->record(afa::obs::Stage::DeviceXfer, cmd.tag,
+        spanLog->record(afa::obs::Stage::MediaRead, c.cmd.tag,
+                        c.mediaBegin, c.mediaDone, spanTrack);
+        spanLog->record(afa::obs::Stage::DeviceXfer, c.cmd.tag,
                         xfer_ready, xfer_done, spanTrack);
     }
-    at(xfer_done, [this, cmd] {
+    at(xfer_done, [this, slot] {
+        const NvmeCommand cmd = chained[slot].cmd;
+        chained.release(slot);
         ++ctrlStats.readsCompleted;
         ctrlStats.bytesRead += cmd.bytes;
         complete(cmd, cmd.bytes + 16, Status::Success);
     });
     // The DMA claim is made; later submissions may fast-path again.
     --chainDepth;
+}
+
+void
+Controller::chainedReadBody(std::uint32_t slot)
+{
+    Chained &c = chained[slot];
+    const std::uint64_t lba = c.cmd.lba;
+    // Determine the media path: any mapped block forces NAND.
+    bool any_mapped = false;
+    for (std::uint64_t b = 0; b < c.blocks; ++b)
+        if (ftlLayer.isMapped(lba + b)) {
+            any_mapped = true;
+            break;
+        }
+    c.hiccup = sampleHiccup();
+    c.mediaBegin = now();
+    if (!any_mapped) {
+        // FOB zero-fill fast path: no NAND involved.
+        Tick media = static_cast<Tick>(rng().lognormal(
+            static_cast<double>(fwConfig.fobReadLatency),
+            fwConfig.fobReadSigma));
+        c.mediaDone = now() + media;
+        finishRead(slot);
+        return;
+    }
+    // Mapped: fan out one FTL read per mapped logical block;
+    // unmapped holes inside the range are served as zeroes.
+    c.remaining = 0;
+    for (std::uint64_t b = 0; b < c.blocks; ++b)
+        if (ftlLayer.isMapped(lba + b))
+            ++c.remaining;
+    for (std::uint64_t b = 0; b < c.blocks; ++b)
+        if (ftlLayer.isMapped(lba + b))
+            ftlLayer.readMapped(
+                lba + b,
+                [this, slot] {
+                    Chained &done = chained[slot];
+                    if (--done.remaining != 0)
+                        return;
+                    done.mediaDone = now();
+                    finishRead(slot);
+                },
+                c.cmd.tag);
 }
 
 void
@@ -265,38 +318,8 @@ Controller::serveRead(const NvmeCommand &cmd)
         return;
     }
     fallbackDispatch();
-    at(pipe_done, [this, cmd, blocks] {
-        // Determine the media path: any mapped block forces NAND.
-        bool any_mapped = false;
-        for (std::uint64_t b = 0; b < blocks; ++b)
-            if (ftlLayer.isMapped(cmd.lba + b)) {
-                any_mapped = true;
-                break;
-            }
-        Tick hiccup = sampleHiccup();
-        Tick media_begin = now();
-        if (!any_mapped) {
-            // FOB zero-fill fast path: no NAND involved.
-            Tick media = static_cast<Tick>(rng().lognormal(
-                static_cast<double>(fwConfig.fobReadLatency),
-                fwConfig.fobReadSigma));
-            finishRead(cmd, hiccup, media_begin, now() + media);
-            return;
-        }
-        // Mapped: fan out one FTL read per mapped logical block;
-        // unmapped holes inside the range are served as zeroes.
-        auto remaining = std::make_shared<std::uint64_t>(0);
-        for (std::uint64_t b = 0; b < blocks; ++b)
-            if (ftlLayer.isMapped(cmd.lba + b))
-                ++*remaining;
-        auto on_block = [this, cmd, hiccup, media_begin, remaining] {
-            if (--*remaining == 0)
-                finishRead(cmd, hiccup, media_begin, now());
-        };
-        for (std::uint64_t b = 0; b < blocks; ++b)
-            if (ftlLayer.isMapped(cmd.lba + b))
-                ftlLayer.readMapped(cmd.lba + b, on_block, cmd.tag);
-    });
+    const std::uint32_t slot = park(cmd, blocks);
+    at(pipe_done, [this, slot] { chainedReadBody(slot); });
 }
 
 bool
@@ -312,10 +335,12 @@ Controller::fastReadEligible(const NvmeCommand &cmd,
         return false;
     // A pending fast write to an overlapping range would flip this
     // range's mapped-ness between now and the reference pipe event.
-    for (const FastWrite &fw : fastWrites)
+    for (std::size_t i = 0; i < fastWrites.size(); ++i) {
+        const FastWrite &fw = fastWrites[i];
         if (cmd.lba < fw.cmd.lba + fw.blocks &&
             fw.cmd.lba < cmd.lba + blocks)
             return false;
+    }
     std::uint64_t mapped = 0;
     for (std::uint64_t b = 0; b < blocks; ++b)
         if (ftlLayer.isMapped(cmd.lba + b))
@@ -413,20 +438,26 @@ Controller::demoteBackFastRead()
     ++chainDepth;
     --ctrlStats.fastPathCommands;
     ++ctrlStats.fallbackCommands;
-    at(fr.finishTick, [this, fr] {
-        finishRead(fr.cmd, fr.hiccup, fr.mediaBegin, fr.mediaDone);
-    });
+    const std::uint32_t slot = park(fr.cmd, 0);
+    chained[slot].hiccup = fr.hiccup;
+    chained[slot].mediaBegin = fr.mediaBegin;
+    chained[slot].mediaDone = fr.mediaDone;
+    at(fr.finishTick, [this, slot] { finishRead(slot); });
 }
 
 void
-Controller::chainedWriteBody(const NvmeCommand &cmd,
-                             std::uint64_t blocks)
+Controller::chainedWriteBody(std::uint32_t slot)
 {
-    auto remaining = std::make_shared<std::uint64_t>(blocks);
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-        ftlLayer.write(cmd.lba + b, [this, cmd, remaining] {
-            if (--*remaining != 0)
+    Chained &c = chained[slot];
+    c.remaining = c.blocks;
+    // FTL write callbacks always fire from later events, never from
+    // inside write(), so the loop sees the slot unchanged.
+    for (std::uint64_t b = 0; b < c.blocks; ++b) {
+        ftlLayer.write(c.cmd.lba + b, [this, slot] {
+            if (--chained[slot].remaining != 0)
                 return;
+            const NvmeCommand cmd = chained[slot].cmd;
+            chained.release(slot);
             ++ctrlStats.writesCompleted;
             ctrlStats.bytesWritten += cmd.bytes;
             complete(cmd, 16, Status::Success);
@@ -477,8 +508,8 @@ Controller::serveWrite(const NvmeCommand &cmd)
         return;
     }
     fallbackDispatch();
-    at(writePipeBusy,
-       [this, cmd, blocks] { chainedWriteBody(cmd, blocks); });
+    const std::uint32_t slot = park(cmd, blocks);
+    at(writePipeBusy, [this, slot] { chainedWriteBody(slot); });
 }
 
 bool
@@ -530,9 +561,8 @@ Controller::demoteBackFastWrite()
     ++chainDepth;
     --ctrlStats.fastPathCommands;
     ++ctrlStats.fallbackCommands;
-    at(fw.wpbTick, [this, cmd = fw.cmd, blocks = fw.blocks] {
-        chainedWriteBody(cmd, blocks);
-    });
+    const std::uint32_t slot = park(fw.cmd, fw.blocks);
+    at(fw.wpbTick, [this, slot] { chainedWriteBody(slot); });
 }
 
 void

@@ -20,7 +20,6 @@
 #ifndef AFA_NVME_CONTROLLER_HH
 #define AFA_NVME_CONTROLLER_HH
 
-#include <deque>
 #include <functional>
 
 #include "nand/nand_array.hh"
@@ -28,7 +27,9 @@
 #include "nvme/firmware_config.hh"
 #include "nvme/ftl.hh"
 #include "nvme/smart.hh"
+#include "sim/ring_queue.hh"
 #include "sim/sim_object.hh"
+#include "sim/slot_pool.hh"
 #include "sim/trace.hh"
 
 namespace afa::obs {
@@ -224,13 +225,13 @@ class Controller : public afa::sim::SimObject
     unsigned chainDepth = 0;
     /** 4 KiB slots owed to the open frontier page by fastWrites. */
     unsigned pendingFastWriteSlots = 0;
-    std::deque<FastRead> fastReads;   ///< finishTick-ordered
-    std::deque<FastWrite> fastWrites; ///< wpbTick-ordered
+    afa::sim::RingQueue<FastRead> fastReads;   ///< finishTick-ordered
+    afa::sim::RingQueue<FastWrite> fastWrites; ///< wpbTick-ordered
     /** The DMA engine and the write pipe are FIFO servers, so fast
      *  completions fire in dispatch order: one pending event per
-     *  deque (the front entry's) is enough. Each completion schedules
+     *  queue (the front entry's) is enough. Each completion schedules
      *  the next front; demoting a whole suffix costs at most one
-     *  cancel. Valid only while the matching deque is non-empty. */
+     *  cancel. Valid only while the matching queue is non-empty. */
     afa::sim::EventHandle fastReadEv;
     afa::sim::EventHandle fastWriteEv;
 
@@ -270,14 +271,36 @@ class Controller : public afa::sim::SimObject
      *  and raise the chain guard. */
     void fallbackDispatch();
 
+    /**
+     * A read or write on the chained (reference) model. Parked in a
+     * pool from dispatch to completion so that every event and FTL
+     * callback of the chain captures only [this, slot].
+     */
+    struct Chained
+    {
+        NvmeCommand cmd;
+        std::uint64_t blocks = 0;
+        Tick hiccup = 0;
+        Tick mediaBegin = 0;
+        Tick mediaDone = 0;
+        std::uint64_t remaining = 0; ///< FTL callbacks outstanding
+    };
+    afa::sim::SlotPool<Chained> chained;
+
+    /** Park @p cmd for the chained model; returns its slot. */
+    std::uint32_t park(const NvmeCommand &cmd, std::uint64_t blocks);
+
+    /** The chained read's pipe-exit body (reference model). */
+    void chainedReadBody(std::uint32_t slot);
+
     /** Shared chained-model read tail (the reference finish()): limp
      *  accounting, DMA claim, spans, completion event. Runs at the
-     *  reference claim tick for chained and demoted reads alike. */
-    void finishRead(const NvmeCommand &cmd, Tick hiccup,
-                    Tick media_begin, Tick media_done);
+     *  reference claim tick for chained and demoted reads alike, with
+     *  the slot's hiccup and media window set. */
+    void finishRead(std::uint32_t slot);
 
     /** The chained write-pipe exit body (reference model). */
-    void chainedWriteBody(const NvmeCommand &cmd, std::uint64_t blocks);
+    void chainedWriteBody(std::uint32_t slot);
 
     /** Fast completion events (front entry is always the one due). */
     void completeFastRead();

@@ -13,18 +13,29 @@
  * box, via NVMe format), so host reads never consult NAND; the FTL
  * exists to support the Table I spec benches, flush semantics, and the
  * aged-drive (non-FOB) ablation the paper lists as future work.
+ *
+ * Both mapping tables (logical block -> physical slot and back) hold
+ * 32-bit entries in fixed-size chunks that are created on their first
+ * write; the last chunk is cut to the exact table size, and format()
+ * releases them all. A drive that is never written therefore owns
+ * only a chunk directory of a few hundred bytes, and an unmapped
+ * lookup (every read of a FOB drive) touches nothing else -- a dense
+ * 64-bit map per SSD was most of a 64-SSD array's memory and a
+ * cache miss per read.
  */
 
 #ifndef AFA_NVME_FTL_HH
 #define AFA_NVME_FTL_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "nand/nand_array.hh"
 #include "nvme/command.hh"
+#include "sim/ring_queue.hh"
 #include "sim/sim_object.hh"
 
 namespace afa::obs {
@@ -163,8 +174,60 @@ class Ftl : public afa::sim::SimObject
 
     const FtlStats &stats() const { return ftlStats; }
 
+    /** Mapping-table chunks currently materialised, both directions
+     *  (for tests: 0 on a drive never written since format()). */
+    std::size_t mapChunks() const
+    {
+        return map.chunks() + reverse.chunks();
+    }
+
   private:
-    static constexpr std::uint64_t kUnmapped = ~std::uint64_t(0);
+    /** "No block" (GC found no victim). */
+    static constexpr std::uint64_t kNoBlock = ~std::uint64_t(0);
+
+    /**
+     * A table of 32-bit entries, kNone until written, stored in
+     * kChunkEntries-entry chunks created on first write. The tail
+     * chunk holds exactly the entries left over.
+     */
+    class ChunkedMap
+    {
+      public:
+        static constexpr std::uint32_t kNone = ~std::uint32_t(0);
+        static constexpr unsigned kChunkShift = 12;
+        static constexpr std::uint64_t kChunkEntries = 1ull << kChunkShift;
+
+        /** Size the table to @p entries, all kNone; frees chunks. */
+        void reset(std::uint64_t entries);
+
+        /** Entry @p i (must be < size). */
+        std::uint32_t
+        get(std::uint64_t i) const
+        {
+            const std::uint32_t *chunk = dir[i >> kChunkShift].get();
+            return chunk ? chunk[i & (kChunkEntries - 1)] : kNone;
+        }
+
+        /** Set entry @p i, creating its chunk if needed. */
+        void
+        set(std::uint64_t i, std::uint32_t value)
+        {
+            std::unique_ptr<std::uint32_t[]> &chunk = dir[i >> kChunkShift];
+            if (!chunk)
+                materialise(i >> kChunkShift);
+            chunk[i & (kChunkEntries - 1)] = value;
+        }
+
+        /** Chunks created since the last reset(). */
+        std::size_t chunks() const { return live; }
+
+      private:
+        void materialise(std::uint64_t chunk);
+
+        std::uint64_t entries = 0;
+        std::vector<std::unique_ptr<std::uint32_t[]>> dir;
+        std::size_t live = 0;
+    };
 
     /**
      * Free blocks kept back for GC relocation (write-cliff guard).
@@ -199,15 +262,16 @@ class Ftl : public afa::sim::SimObject
     std::uint64_t slotsPerBlock;
     unsigned dies;
 
-    std::vector<std::uint64_t> map;     ///< lba -> phys slot
-    std::vector<std::uint64_t> reverse; ///< phys slot -> lba
+    ChunkedMap map;     ///< lba -> phys slot
+    ChunkedMap reverse; ///< phys slot -> lba (sized with the write
+                        ///< structures)
     std::vector<BlockInfo> blockInfo;   ///< per physical block
     std::vector<std::vector<std::uint64_t>> freePerDie;
     std::vector<DieFrontier> frontier;
     unsigned nextDie;
 
     unsigned bufferedEntries;
-    std::deque<std::pair<std::uint64_t, DoneFn>> pendingWrites;
+    afa::sim::RingQueue<std::pair<std::uint64_t, DoneFn>> pendingWrites;
     std::vector<DoneFn> flushWaiters;
     unsigned outstandingPrograms;
     bool gcActive;
@@ -231,6 +295,8 @@ class Ftl : public afa::sim::SimObject
     afa::nand::PageAddr slotToAddr(std::uint64_t slot) const;
     std::uint64_t blockOfSlot(std::uint64_t slot) const;
     void invalidate(std::uint64_t lba);
+    /** Point @p lba at @p slot in both tables and count it valid. */
+    void bind(std::uint64_t lba, std::uint64_t slot);
     void checkFlushWaiters();
     bool drained() const;
 };

@@ -132,6 +132,11 @@ Fabric::finalize()
     for (std::size_t i = 0; i + 1 < pathOffset.size(); ++i)
         maxHops = std::max(maxHops, pathOffset[i + 1] - pathOffset[i]);
     linkResv.assign(links.size(), {});
+    // Contention rarely stacks more than a few packets on a link;
+    // starting with room for them keeps a late first pile-up from
+    // allocating mid-run.
+    for (auto &resv : linkResv)
+        resv.reserve(8);
     linkFaultRate.assign(links.size(), 0.0);
     linkFaultStream.assign(links.size(), afa::sim::Rng{});
     linkFaultSnap.assign(links.size(), {});
@@ -581,6 +586,7 @@ Fabric::allocFlight()
         freeFlights.pop_back();
     } else {
         flights.emplace_back();
+        freeFlights.reserve(flights.capacity());
         idx = static_cast<std::uint32_t>(flights.size() - 1);
         flightEntry.resize(flights.size() * maxHops);
     }

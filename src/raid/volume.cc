@@ -342,113 +342,140 @@ ParityVolume::deviceBlocks(unsigned device) const
 }
 
 void
-ParityVolume::readBlock(unsigned cpu, const BlockMap &map,
-                        std::uint64_t tag, CompleteFn on_done)
+ParityVolume::submitMember(std::uint32_t op, afa::nvme::Op kind,
+                           unsigned member_index, MemberDone then)
 {
+    const BlockOp &b = blockOps[op];
     IoRequest child;
-    child.op = afa::nvme::Op::Read;
-    child.lba = map.memberLba;
+    child.device = members[member_index];
+    child.op = kind;
+    child.lba = b.map.memberLba;
     child.bytes = afa::nvme::kLogicalBlockBytes;
-    child.tag = tag;
+    child.tag = b.tag;
+    ++volStats.memberIos;
+    inner.submit(b.cpu, child, [this, op, then](const IoResult &result) {
+        memberDone(op, then, result);
+    });
+}
+
+void
+ParityVolume::memberDone(std::uint32_t op, MemberDone then,
+                         const IoResult &result)
+{
+    switch (then) {
+      case MemberDone::Block:
+        finishBlock(op, result);
+        return;
+      case MemberDone::HealthyRead:
+        if (result.ok()) {
+            finishBlock(op, result);
+            return;
+        }
+        // Fail the member over and reconstruct instead.
+        setMemberFailed(blockOps[op].map.dataMember, true);
+        readBlock(op);
+        return;
+      case MemberDone::Join: {
+        BlockOp &b = blockOps[op];
+        b.result.cpu = result.cpu;
+        if (!result.ok())
+            b.result.status = result.status;
+        if (--b.remaining != 0)
+            return;
+        if (b.readBeforeWrite)
+            writeNewData(op);
+        else
+            finishBlock(op, b.result);
+        return;
+      }
+    }
+}
+
+void
+ParityVolume::finishBlock(std::uint32_t op, IoResult result)
+{
+    const std::uint32_t client = blockOps[op].client;
+    blockOps.release(op);
+    // The client join completes with the last block, carrying its
+    // handler CPU and the worst status seen.
+    ClientOp &c = clients[client];
+    c.result.cpu = result.cpu;
+    if (!result.ok())
+        c.result.status = result.status;
+    if (--c.remaining != 0)
+        return;
+    CompleteFn fn = std::move(c.fn);
+    const IoResult client_result = c.result;
+    clients.release(client);
+    fn(client_result);
+}
+
+void
+ParityVolume::readBlock(std::uint32_t op)
+{
+    const BlockMap map = blockOps[op].map;
     if (!failedMembers[map.dataMember]) {
-        child.device = members[map.dataMember];
-        ++volStats.memberIos;
-        inner.submit(
-            cpu, child,
-            [this, cpu, map, tag,
-             cb = std::move(on_done)](const IoResult &result) mutable {
-                if (result.ok()) {
-                    cb(result);
-                    return;
-                }
-                // Fail the member over and reconstruct instead.
-                setMemberFailed(map.dataMember, true);
-                readBlock(cpu, map, tag, std::move(cb));
-            });
+        submitMember(op, afa::nvme::Op::Read, map.dataMember,
+                     MemberDone::HealthyRead);
         return;
     }
     // Degraded read: XOR the stripe row of every surviving member
     // (including parity) back together; the join completes with the
     // slowest survivor, which is what makes a degraded array slow.
     ++volStats.degradedReads;
-    auto join = std::make_shared<Join>();
-    join->remaining = members.size() - 1;
-    for (unsigned m = 0; m < members.size(); ++m) {
-        if (m == map.dataMember)
-            continue;
-        child.device = members[m];
-        ++volStats.memberIos;
-        inner.submit(cpu, child,
-                     [join, on_done](const IoResult &result) {
-                         join->fold(result);
-                         if (--join->remaining == 0)
-                             on_done(join->result);
-                     });
-    }
+    blockOps[op].remaining = members.size() - 1;
+    blockOps[op].result = IoResult{};
+    for (unsigned m = 0; m < members.size(); ++m)
+        if (m != map.dataMember)
+            submitMember(op, afa::nvme::Op::Read, m, MemberDone::Join);
 }
 
 void
-ParityVolume::writeBlock(unsigned cpu, const BlockMap &map,
-                         std::uint64_t tag, CompleteFn on_done)
+ParityVolume::writeBlock(std::uint32_t op)
 {
-    IoRequest io;
-    io.lba = map.memberLba;
-    io.bytes = afa::nvme::kLogicalBlockBytes;
-    io.tag = tag;
+    const BlockMap map = blockOps[op].map;
     const bool data_ok = !failedMembers[map.dataMember];
     const bool parity_ok = !failedMembers[map.parityMember];
     if (!data_ok || !parity_ok) {
         if (!data_ok && !parity_ok) {
             ++volStats.failedIos;
-            after(0, [cpu, cb = std::move(on_done)] {
-                cb(IoResult{cpu, afa::nvme::Status::Aborted});
+            after(0, [this, op] {
+                finishBlock(op, IoResult{blockOps[op].cpu,
+                                         afa::nvme::Status::Aborted});
             });
             return;
         }
         // Degraded write: no old copy to fold in; the survivor of the
         // (data, parity) pair absorbs the update directly.
-        io.op = afa::nvme::Op::Write;
-        io.device = members[data_ok ? map.dataMember
-                                    : map.parityMember];
-        ++volStats.memberIos;
-        inner.submit(cpu, io, std::move(on_done));
+        submitMember(op, afa::nvme::Op::Write,
+                     data_ok ? map.dataMember : map.parityMember,
+                     MemberDone::Block);
         return;
     }
     // The RAID-5 small-write penalty: read old data + old parity,
     // then write new data + new parity (two joins back to back).
-    io.op = afa::nvme::Op::Read;
-    auto read_join = std::make_shared<Join>();
-    read_join->remaining = 2;
-    auto phase2 = [this, cpu, map, io,
-                   on_done](const IoResult &read_result) mutable {
-        if (!read_result.ok()) {
-            on_done(read_result);
-            return;
-        }
-        io.op = afa::nvme::Op::Write;
-        auto write_join = std::make_shared<Join>();
-        write_join->remaining = 2;
-        for (unsigned m : {map.dataMember, map.parityMember}) {
-            io.device = members[m];
-            ++volStats.memberIos;
-            inner.submit(cpu, io,
-                         [write_join, on_done](const IoResult &result) {
-                             write_join->fold(result);
-                             if (--write_join->remaining == 0)
-                                 on_done(write_join->result);
-                         });
-        }
-    };
-    for (unsigned m : {map.dataMember, map.parityMember}) {
-        io.device = members[m];
-        ++volStats.memberIos;
-        inner.submit(cpu, io,
-                     [read_join, phase2](const IoResult &result) mutable {
-                         read_join->fold(result);
-                         if (--read_join->remaining == 0)
-                             phase2(read_join->result);
-                     });
+    BlockOp &b = blockOps[op];
+    b.readBeforeWrite = true;
+    b.remaining = 2;
+    b.result = IoResult{};
+    for (unsigned m : {map.dataMember, map.parityMember})
+        submitMember(op, afa::nvme::Op::Read, m, MemberDone::Join);
+}
+
+void
+ParityVolume::writeNewData(std::uint32_t op)
+{
+    BlockOp &b = blockOps[op];
+    if (!b.result.ok()) {
+        finishBlock(op, b.result);
+        return;
     }
+    const BlockMap map = b.map;
+    b.readBeforeWrite = false;
+    b.remaining = 2;
+    b.result = IoResult{};
+    for (unsigned m : {map.dataMember, map.parityMember})
+        submitMember(op, afa::nvme::Op::Write, m, MemberDone::Join);
 }
 
 void
@@ -468,21 +495,17 @@ ParityVolume::submit(unsigned cpu, const IoRequest &request,
         ++volStats.writes;
     else
         ++volStats.reads;
-    auto join = std::make_shared<Join>();
-    join->remaining = blocks;
-    CompleteFn per_block = [join, on_device_complete =
-                                      std::move(on_device_complete)](
-                               const IoResult &result) {
-        join->fold(result);
-        if (--join->remaining == 0)
-            on_device_complete(join->result);
-    };
+    const std::uint32_t client = clients.acquire();
+    clients[client] =
+        ClientOp{std::move(on_device_complete), blocks, IoResult{}};
     for (std::uint64_t b = 0; b < blocks; ++b) {
-        BlockMap map = mapBlock(request.lba + b);
+        const std::uint32_t op = blockOps.acquire();
+        blockOps[op] = BlockOp{client, cpu, mapBlock(request.lba + b),
+                               request.tag, 0, IoResult{}, false};
         if (is_write)
-            writeBlock(cpu, map, request.tag, per_block);
+            writeBlock(op);
         else
-            readBlock(cpu, map, request.tag, per_block);
+            readBlock(op);
     }
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "sim/sim_object.hh"
+#include "sim/slot_pool.hh"
 #include "workload/io_engine.hh"
 
 namespace afa::raid {
@@ -202,16 +203,56 @@ class ParityVolume : public afa::sim::SimObject,
     BlockMap mapBlock(std::uint64_t volume_lba) const;
 
   private:
+    /** A client IO: its callback and the join over its blocks. */
+    struct ClientOp
+    {
+        CompleteFn fn;
+        std::uint64_t remaining = 0; ///< blocks outstanding
+        afa::workload::IoResult result;
+    };
+
+    /** One block of a client IO and the join over its member IOs. */
+    struct BlockOp
+    {
+        std::uint32_t client = 0;
+        unsigned cpu = 0;
+        BlockMap map{};
+        std::uint64_t tag = 0;
+        std::uint64_t remaining = 0; ///< member IOs outstanding
+        afa::workload::IoResult result;
+        /** Small write: the join is the old-data/old-parity read. */
+        bool readBeforeWrite = false;
+    };
+
     afa::workload::IoEngine &inner;
     std::vector<unsigned> members;
     std::uint32_t stripBlocks;
     VolumeStats volStats;
     std::vector<bool> failedMembers;
+    // Per-IO state lives in pools; member callbacks capture only
+    // [this, block slot], which fits std::function's inline buffer.
+    afa::sim::SlotPool<ClientOp> clients;
+    afa::sim::SlotPool<BlockOp> blockOps;
 
-    void readBlock(unsigned cpu, const BlockMap &map,
-                   std::uint64_t tag, CompleteFn on_done);
-    void writeBlock(unsigned cpu, const BlockMap &map,
-                    std::uint64_t tag, CompleteFn on_done);
+    /** What a member IO's completion feeds. */
+    enum class MemberDone : std::uint8_t
+    {
+        Block,       ///< the block's result (degraded write)
+        HealthyRead, ///< fail over to a degraded read on error
+        Join,        ///< the block's member join
+    };
+
+    void readBlock(std::uint32_t op);
+    void writeBlock(std::uint32_t op);
+    /** Submit block @p op's 4 KiB IO to member @p member_index. */
+    void submitMember(std::uint32_t op, afa::nvme::Op kind,
+                      unsigned member_index, MemberDone then);
+    void memberDone(std::uint32_t op, MemberDone then,
+                    const afa::workload::IoResult &result);
+    /** Small write, second phase: write new data and parity. */
+    void writeNewData(std::uint32_t op);
+    /** Fold block @p op's result into its client IO; frees @p op. */
+    void finishBlock(std::uint32_t op, afa::workload::IoResult result);
 };
 
 } // namespace afa::raid

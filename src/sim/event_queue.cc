@@ -7,10 +7,11 @@
 namespace afa::sim {
 
 EventQueue::EventQueue()
-    : nextSeq(0), numExecuted(0), numPending(0)
+    : nextSeq(0), numExecuted(0), numInternal(0), numPending(0)
 {
     slab.reserve(1024);
     slotKey.reserve(1024);
+    freeSlots.reserve(1024);
     heap.reserve(1024);
 }
 
@@ -22,17 +23,20 @@ EventQueue::growSlab()
               (unsigned long long)kSlotMask);
     slab.emplace_back();
     slotKey.push_back(kStaleKey);
+    // Every slot fits on the free list: freeing never allocates.
+    freeSlots.reserve(slab.capacity());
     return static_cast<std::uint32_t>(slab.size() - 1);
 }
 
 EventHandle
-EventQueue::scheduleSlot(Tick when, std::uint32_t prio)
+EventQueue::scheduleSlot(Tick when, std::uint32_t prio, bool internal)
 {
     if (nextSeq >= kMaxSeq)
         panicSeqExhausted();
     std::uint32_t slot = allocSlot();
     Record &rec = slab[slot];
     rec.scheduled = true;
+    rec.internal = internal;
     std::uint64_t key = (nextSeq++ << kSlotBits) | slot;
     slotKey[slot] = key;
     heap.push_back(HeapEntry{when, key, prio});

@@ -62,11 +62,16 @@ class EventQueue
      * @param prio same-tick ordering band; 0 (the default) means
      *        plain FIFO scheduling order, higher bands run after
      *        every lower band of the same tick, FIFO within a band.
+     * @param internal marks engine plumbing: the event is counted in
+     *        internalExecuted() as well as executed() when it fires.
+     *        The mark lives in the queue record, so it costs the
+     *        closure no inline capture space.
      * @return handle usable with cancel().
      */
     template <typename F>
     EventHandle
-    schedule(Tick when, F &&fn, std::uint32_t prio = 0)
+    schedule(Tick when, F &&fn, std::uint32_t prio = 0,
+             bool internal = false)
     {
         if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
             if (!fn)
@@ -75,7 +80,7 @@ class EventQueue
         // The slot/heap bookkeeping is shared out-of-line code; only
         // the closure construction is stamped out per callable, so the
         // callback lands in its slot without any intermediate moves.
-        EventHandle handle = scheduleSlot(when, prio);
+        EventHandle handle = scheduleSlot(when, prio, internal);
         slab[handle.slot].fn.assign(std::forward<F>(fn));
         return handle;
     }
@@ -90,7 +95,8 @@ class EventQueue
 
     /**
      * Cancel a pending event and take back its callback (for
-     * re-routing, e.g. a displaced fast-path delivery).
+     * re-routing, e.g. a displaced fast-path delivery). The internal
+     * mark stays behind: re-schedule the callback with its own.
      * @retval true the event was pending; @p fn_out holds its
      *         callback and the event will not fire.
      * @retval false the handle was stale; @p fn_out untouched.
@@ -140,6 +146,10 @@ class EventQueue
     /** Total events executed since construction. */
     std::uint64_t executed() const { return numExecuted; }
 
+    /** Events scheduled with internal = true executed since
+     *  construction (a subset of executed(); counted at pop time). */
+    std::uint64_t internalExecuted() const { return numInternal; }
+
     /** Drop every pending event. */
     void clear();
 
@@ -149,6 +159,7 @@ class EventQueue
         EventFn fn;
         std::uint32_t gen = 0;
         bool scheduled = false;
+        bool internal = false; ///< engine plumbing (see schedule())
     };
 
     /** Slot index width inside a heap key (16M concurrent slots). */
@@ -200,13 +211,15 @@ class EventQueue
     std::vector<HeapEntry> heap;
     std::uint64_t nextSeq;
     std::uint64_t numExecuted;
+    std::uint64_t numInternal;
     std::size_t numPending;
 
     /**
      * Allocate a slot, mark it scheduled, and push its heap entry;
      * the caller constructs the callback into the returned slot.
      */
-    EventHandle scheduleSlot(Tick when, std::uint32_t prio);
+    EventHandle scheduleSlot(Tick when, std::uint32_t prio,
+                             bool internal);
 
     std::uint32_t
     allocSlot()
@@ -269,6 +282,7 @@ class EventQueue
         freeSlots.push_back(slot);
         --numPending;
         ++numExecuted;
+        numInternal += rec.internal;
         when_out = entry.when;
     }
 };

@@ -62,19 +62,14 @@ Simulator::scheduleOnShard(unsigned shard, Tick when, EventFn fn,
         // cancel it only from there.
         if (when < src.clock)
             panicPastEvent(when, src.clock);
-        Shard &dst = *shardStates[shard];
-        if (!internal)
-            return dst.q.schedule(when, std::move(fn), order);
-        Shard *dp = &dst;
-        // Plumbing is counted before the callback on purpose: the
-        // queue's executed counter increments at pop time, so an
-        // internal event observing shardStats() mid-callback (a
-        // telemetry sample) sees executed - plumbing with itself in
-        // both counters — i.e. exactly the model events so far.
-        return dst.q.schedule(when, [dp, f = std::move(fn)]() mutable {
-            ++dp->plumbing;
-            f();
-        }, order);
+        // Internal events carry the plumbing mark in their queue
+        // record; the queue counts them at pop time, before the
+        // callback runs, so an internal event observing shardStats()
+        // mid-callback (a telemetry sample) sees executed - plumbing
+        // with itself in both counters — i.e. exactly the model
+        // events so far.
+        return shardStates[shard]->q.schedule(when, std::move(fn), order,
+                                              internal);
     }
 
     // Mailbox path: the post must clear the conservative horizon so
@@ -218,9 +213,8 @@ Simulator::fireCross(CrossMsg *msg, unsigned src, std::uint32_t idx)
     // next barrier, via this shard's retired list.
     Shard &here = *shardStates[t_currentShard];
     // Before the callback, matching the queue's pop-time executed
-    // counter (see the same-shard internal wrapper in
-    // scheduleOnShard): a sample reading shardStats() mid-callback
-    // sees itself in both counters.
+    // and internal counters (see scheduleOnShard): a sample reading
+    // shardStats() mid-callback sees itself in both counters.
     if (msg->internal)
         ++here.plumbing;
     EventFn fn = std::move(msg->fn);
@@ -234,7 +228,7 @@ Simulator::modelExecuted() const
 {
     std::uint64_t n = 0;
     for (const auto &sp : shardStates)
-        n += sp->q.executed() - sp->plumbing;
+        n += sp->q.executed() - plumbingOf(*sp);
     return n;
 }
 
@@ -251,8 +245,8 @@ Simulator::collectProfile(SimProfile &out) const
     for (std::size_t s = 0; s < shardStates.size(); ++s) {
         const Shard &sh = *shardStates[s];
         ShardStat &st = out.shards[s];
-        st.executedEvents = sh.q.executed() - sh.plumbing;
-        st.plumbingEvents = sh.plumbing;
+        st.executedEvents = sh.q.executed() - plumbingOf(sh);
+        st.plumbingEvents = plumbingOf(sh);
         st.crossPosts = sh.crossPosts;
         st.barrierWaitNanos = sh.barrierWaitNanos;
     }

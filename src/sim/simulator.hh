@@ -307,7 +307,9 @@ class Simulator
     {
         EventQueue q;
         Tick clock = 0;
-        std::uint64_t plumbing = 0; ///< internal events executed here
+        /** Internal mailbox deliveries executed here; internal
+         *  queue events are counted by the queue itself. */
+        std::uint64_t plumbing = 0;
         std::uint64_t crossPosts = 0; ///< posts to other shards
         std::uint64_t barrierWaitNanos = 0; ///< wall ns at barriers
         std::vector<std::unique_ptr<CrossMsg>> slab;
@@ -347,6 +349,12 @@ class Simulator
     void recycleMsg(Shard &src, std::uint32_t idx);
     bool cancelCross(EventHandle handle, EventFn *reclaimed);
     std::uint64_t modelExecuted() const;
+    /** Internal (plumbing) events executed on @p sh. */
+    static std::uint64_t
+    plumbingOf(const Shard &sh)
+    {
+        return sh.plumbing + sh.q.internalExecuted();
+    }
     void collectProfile(SimProfile &out) const;
 
     [[noreturn]] static void panicPastEvent(Tick when, Tick now_tick);

@@ -76,16 +76,18 @@ FioThread::pump()
 {
     if (taskBusy || workQueue.empty())
         return;
-    WorkItem item = std::move(workQueue.front());
+    WorkItem &item = workQueue.front();
+    const Tick cost = item.cost;
+    runningThen = std::move(item.then);
     workQueue.pop_front();
     taskBusy = true;
-    sched.runFor(task, item.cost,
-                 [this, then = std::move(item.then)]() mutable {
-                     taskBusy = false;
-                     if (then)
-                         then();
-                     pump();
-                 });
+    sched.runFor(task, cost, [this] {
+        taskBusy = false;
+        EventFn then = std::move(runningThen);
+        if (then)
+            then();
+        pump();
+    });
 }
 
 void

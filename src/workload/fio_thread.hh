@@ -14,10 +14,10 @@
 #ifndef AFA_WORKLOAD_FIO_THREAD_HH
 #define AFA_WORKLOAD_FIO_THREAD_HH
 
-#include <deque>
 #include <vector>
 
 #include "host/scheduler.hh"
+#include "sim/ring_queue.hh"
 #include "sim/sim_object.hh"
 #include "stats/histogram.hh"
 #include "stats/scatter_log.hh"
@@ -103,10 +103,13 @@ class FioThread : public afa::sim::SimObject
     /** Deferred CPU work items executed serially by the task. */
     struct WorkItem
     {
-        afa::sim::Tick cost;
+        afa::sim::Tick cost = 0;
         afa::sim::EventFn then;
     };
-    std::deque<WorkItem> workQueue;
+    afa::sim::RingQueue<WorkItem> workQueue;
+    /** Continuation of the item the task is running. Parked here, not
+     *  in the runFor() closure, so that closure is just [this]. */
+    afa::sim::EventFn runningThen;
 
     /**
      * One in-flight IO. Completion callbacks capture only [this,

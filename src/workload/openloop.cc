@@ -186,16 +186,18 @@ OpenLoopEngine::pump(unsigned s)
     Stream &st = streams[s];
     if (st.taskBusy || st.workQueue.empty())
         return;
-    WorkItem item = std::move(st.workQueue.front());
+    WorkItem &item = st.workQueue.front();
+    const Tick cost = item.cost;
+    st.runningThen = std::move(item.then);
     st.workQueue.pop_front();
     st.taskBusy = true;
-    sched.runFor(st.task, item.cost,
-                 [this, s, then = std::move(item.then)]() mutable {
-                     streams[s].taskBusy = false;
-                     if (then)
-                         then();
-                     pump(s);
-                 });
+    sched.runFor(st.task, cost, [this, s] {
+        streams[s].taskBusy = false;
+        EventFn then = std::move(streams[s].runningThen);
+        if (then)
+            then();
+        pump(s);
+    });
 }
 
 void
@@ -218,7 +220,7 @@ OpenLoopEngine::issueFront(unsigned s)
     Stream &st = streams[s];
     if (st.backlog.empty() || now() >= endTime)
         return;
-    QueuedOp op = std::move(st.backlog.front());
+    QueuedOp op = st.backlog.front();
     st.backlog.pop_front();
 
     ++st.stats.submitted;
@@ -230,8 +232,9 @@ OpenLoopEngine::issueFront(unsigned s)
     const std::uint64_t tag =
         (static_cast<std::uint64_t>(st.task + 1) << 32) | ++st.seq;
     op.req.tag = tag;
-    flights.emplace(tag, Flight{op.arrivalTick, op.req.device,
-                                op.req.bytes, false});
+    const std::uint32_t slot = flights.acquire();
+    flights[slot] = Flight{op.arrivalTick, tag, s, op.req.device,
+                           op.req.bytes, false};
     ++st.inflight;
 
     const unsigned cpu = sched.taskCpu(st.task);
@@ -239,39 +242,40 @@ OpenLoopEngine::issueFront(unsigned s)
         spanLog->record(afa::obs::Stage::SubmitQueue, tag,
                         op.arrivalTick, now(),
                         afa::obs::cpuTrack(cpu));
-    engine.submit(cpu, op.req, [this, s, tag](const IoResult &result) {
-        onDeviceComplete(s, tag, result);
+    engine.submit(cpu, op.req, [this, slot](const IoResult &result) {
+        onDeviceComplete(slot, result);
     });
 }
 
 void
-OpenLoopEngine::onDeviceComplete(unsigned s, std::uint64_t tag,
+OpenLoopEngine::onDeviceComplete(std::uint32_t slot,
                                  const IoResult &result)
 {
-    auto it = flights.find(tag);
-    if (it == flights.end())
-        afa::sim::panic("%s: completion for unknown tag",
+    Flight &flight = flights[slot];
+    if (flight.tag == 0)
+        afa::sim::panic("%s: completion for a free flight slot",
                         name().c_str());
-    it->second.failed = !result.ok();
+    flight.failed = !result.ok();
+    const unsigned s = flight.stream;
     // Completion handled on a remote CPU needs an IPI to wake us.
     Tick ipi = 0;
     if (result.cpu != sched.taskCpu(streams[s].task))
         ipi = sched.config().irq.ipiCost;
-    after(ipi, [this, s, tag] {
-        enqueueWork(s, p.reapCost,
-                    [this, s, tag] { finishOp(s, tag); });
+    after(ipi, [this, s, slot] {
+        enqueueWork(s, p.reapCost, [this, slot] { finishOp(slot); });
     });
 }
 
 void
-OpenLoopEngine::finishOp(unsigned s, std::uint64_t tag)
+OpenLoopEngine::finishOp(std::uint32_t slot)
 {
-    Stream &st = streams[s];
-    auto it = flights.find(tag);
-    if (it == flights.end())
-        afa::sim::panic("%s: reap for unknown tag", name().c_str());
-    const Flight flight = it->second;
-    flights.erase(it);
+    const Flight flight = flights[slot];
+    if (flight.tag == 0)
+        afa::sim::panic("%s: reap of a free flight slot", name().c_str());
+    flights[slot].tag = 0; // tags are never 0: (task + 1) << 32 | seq
+    flights.release(slot);
+    const std::uint64_t tag = flight.tag;
+    Stream &st = streams[flight.stream];
 
     const Tick latency = now() - flight.arrivalTick;
     ++st.stats.completed;

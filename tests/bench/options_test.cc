@@ -2,7 +2,7 @@
  * @file
  * The figure benches' shared option parsing: open-loop flags are
  * range-checked instead of silently falling back to another traffic
- * model.
+ * model, and --help prints the flags instead of running a figure.
  */
 
 #include <gtest/gtest.h>
@@ -56,6 +56,23 @@ TEST_F(BenchOptionsTest, BadOpenLoopFlagsAreFatal)
                              "--burst=inf"})
         EXPECT_THROW(parse({"--rate=1000", flag}), afa::sim::SimError)
             << flag;
+}
+
+TEST_F(BenchOptionsTest, HelpPrintsUsageAndExits)
+{
+    // --help used to be an unknown key: the bench ran its full
+    // default figure (about 4 s for fig06). parseOptions() is the
+    // first thing every figure bench calls, so exiting there means
+    // nothing is built.
+    EXPECT_EXIT(parse({"--help"}), ::testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(parse({"--ssds=8", "--help"}),
+                ::testing::ExitedWithCode(0), "");
+    const std::string usage = afa::bench::kCommonUsage;
+    for (const char *flag :
+         {"--ssds", "--runtime-ms", "--seed", "--jobs", "--seeds",
+          "--metrics-json", "--trace", "--faults", "--telemetry",
+          "--rate", "--burst", "--streams"})
+        EXPECT_NE(usage.find(flag), std::string::npos) << flag;
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -151,6 +152,14 @@ struct DistCase
     double meanTol;
     double stddevTol;
 };
+
+// Without this gtest prints the case as raw bytes, including the
+// address of `name`, so the ctest name would change on every build.
+void
+PrintTo(const DistCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class DistributionMoments : public ::testing::TestWithParam<DistCase>
 {

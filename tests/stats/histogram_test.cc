@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -176,6 +177,14 @@ struct QuantileCase
     const char *name;
     double (*sampler)(Rng &);
 };
+
+// Without this gtest prints the case as raw bytes, including the
+// address of `name`, so the ctest name would change on every build.
+void
+PrintTo(const QuantileCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class QuantileAccuracy : public ::testing::TestWithParam<QuantileCase>
 {
