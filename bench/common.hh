@@ -41,7 +41,9 @@ inline constexpr const char *kCommonUsage = R"(Common flags:
   --report          append the system attribution report
   --jobs N          worker threads for the run plan (default 1;
                     0 = all hardware threads). Results are
-                    bit-identical to a serial run.
+                    bit-identical to a serial run. Benches without
+                    a run plan (fig06-fig11, fig13, tail_at_scale)
+                    reject --jobs, --seeds and --metrics-json.
   --shards N        event-core shards inside every run (default 1).
                     Partitions the SSD subtrees over N conservative
                     shards; results are bit-identical to --shards 1,
@@ -113,17 +115,26 @@ struct BenchOptions
     std::string telemetryCsvPath;
 };
 
+/**
+ * Print @p usage and exit 0 when --help is among the flags. Benches
+ * call it first, so --help builds and runs nothing.
+ */
+inline void
+exitOnHelp(const afa::sim::Config &cfg, const char *argv0,
+           const char *usage)
+{
+    if (!cfg.has("help"))
+        return;
+    std::printf("usage: %s [flags]\n\n%s", argv0, usage);
+    std::exit(0);
+}
+
 inline BenchOptions
 parseOptions(int argc, char **argv)
 {
     afa::sim::Config cfg;
     cfg.parseArgs(argc - 1, argv + 1);
-    if (cfg.has("help")) {
-        // Before any system is built: --help used to run the full
-        // default figure.
-        std::printf("usage: %s [flags]\n\n%s", argv[0], kCommonUsage);
-        std::exit(0);
-    }
+    exitOnHelp(cfg, argv[0], kCommonUsage);
     BenchOptions opts;
     auto &p = opts.params;
     p.ssds = static_cast<unsigned>(cfg.getUint("ssds", 64));
@@ -206,6 +217,32 @@ parseOptions(int argc, char **argv)
          !opts.telemetryCsvPath.empty()) &&
         p.telemetryWindow == 0)
         p.telemetryWindow = afa::sim::msec(100);
+    return opts;
+}
+
+/**
+ * parseOptions() for a bench that makes its runs itself instead of
+ * executing a RunPlan. --jobs, --seeds and --metrics-json only drive
+ * the run-plan machinery, which such a bench never reaches, so they
+ * are fatal rather than silently ignored.
+ */
+inline BenchOptions
+parseSingleRunOptions(int argc, char **argv)
+{
+    BenchOptions opts = parseOptions(argc, argv);
+    if (opts.jobs != 1)
+        afa::sim::fatal("--jobs %u: %s runs no run plan, so it has no "
+                        "runs to spread over workers (run-plan benches "
+                        "such as fig12 take --jobs)",
+                        opts.jobs, argv[0]);
+    if (opts.seeds != 1)
+        afa::sim::fatal("--seeds %u: %s does not replicate its runs "
+                        "(run-plan benches such as fig12 take --seeds)",
+                        opts.seeds, argv[0]);
+    if (!opts.metricsJsonPath.empty())
+        afa::sim::fatal("--metrics-json %s: %s writes no per-run "
+                        "metrics (run-plan benches such as fig12 do)",
+                        opts.metricsJsonPath.c_str(), argv[0]);
     return opts;
 }
 

@@ -10,7 +10,7 @@
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseSingleRunOptions(argc, argv);
     opts.params.profile = afa::core::TuningProfile::Chrt;
     auto result = afa::core::ExperimentRunner::run(opts.params);
     afa::bench::reportFigure(

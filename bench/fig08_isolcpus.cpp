@@ -11,7 +11,7 @@
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseSingleRunOptions(argc, argv);
     opts.params.profile = afa::core::TuningProfile::Isolcpus;
     auto result = afa::core::ExperimentRunner::run(opts.params);
     afa::bench::reportFigure("Fig. 8", "after setting CPU isolation",

@@ -19,7 +19,7 @@ main(int argc, char **argv)
 {
     afa::sim::Config cfg;
     cfg.parseArgs(argc - 1, argv + 1);
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseSingleRunOptions(argc, argv);
     opts.params.profile = afa::core::TuningProfile::IrqAffinity;
     opts.params.scatterDevices = static_cast<unsigned>(
         cfg.getUint("scatter_devices", 32));

@@ -12,7 +12,7 @@
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseSingleRunOptions(argc, argv);
     opts.params.profile = afa::core::TuningProfile::IrqAffinity;
     using afa::core::GeometryVariant;
 

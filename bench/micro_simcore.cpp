@@ -8,6 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
 #include "core/experiment.hh"
 #include "host/scheduler.hh"
 #include "nand/nand_array.hh"
@@ -42,7 +45,9 @@ BENCHMARK(BM_EventQueueScheduleRun);
 void
 BM_EventQueueDeepHeap(benchmark::State &state)
 {
-    // Schedule/run against a standing population of pending events.
+    // Schedule/run against a standing population of pending events,
+    // always ahead of the clock as the Simulator requires (it panics
+    // on a past schedule; the bare queue accepts one at O(n) cost).
     afa::sim::EventQueue q;
     const std::int64_t depth = state.range(0);
     afa::sim::Rng rng(1);
@@ -50,12 +55,81 @@ BM_EventQueueDeepHeap(benchmark::State &state)
         q.schedule(rng.uniformInt(1, 1u << 30), [] {});
     afa::sim::Tick when = 0;
     for (auto _ : state) {
-        q.schedule(rng.uniformInt(1, 1u << 30), [] {});
+        q.schedule(when + rng.uniformInt(1, 1u << 30), [] {});
         q.runNext(when);
     }
     benchmark::DoNotOptimize(when);
 }
 BENCHMARK(BM_EventQueueDeepHeap)->Arg(1024)->Arg(65536);
+
+/**
+ * 4096 delays drawn log-uniformly from [lo, hi] ticks, precomputed so
+ * the timed loops measure the queue rather than the RNG.
+ */
+std::vector<afa::sim::Tick>
+logUniformDelays(double lo, double hi)
+{
+    afa::sim::Rng rng(6);
+    std::vector<afa::sim::Tick> delays(4096);
+    for (auto &d : delays)
+        d = static_cast<afa::sim::Tick>(
+            lo * std::pow(hi / lo, rng.uniform()));
+    return delays;
+}
+
+void
+BM_EventQueueHold(benchmark::State &state)
+{
+    // The classic hold model: pop the earliest of N pending events
+    // and schedule one more a fig06-like delay ahead, 64 ns (a fabric
+    // hop) to 16 us (a FOB read plus transfer). N = 213 is the median
+    // pending population perfbench reports for fig06.
+    const auto delays = logUniformDelays(64, 16384);
+    afa::sim::EventQueue q;
+    std::size_t next = 0;
+    for (std::int64_t i = 0; i < state.range(0); ++i)
+        q.schedule(delays[next++ % delays.size()], [] {});
+    afa::sim::Tick when = 0;
+    for (auto _ : state) {
+        q.runNext(when);
+        q.schedule(when + delays[next++ & 4095], [] {});
+    }
+    benchmark::DoNotOptimize(when);
+}
+BENCHMARK(BM_EventQueueHold)->Arg(213)->Arg(2048);
+
+void
+BM_EventQueueCancelledTimeouts(benchmark::State &state)
+{
+    // The fault-plan driver shape (raid5_limp_rebuild): 120 commands
+    // in flight, each arming a 10 ms timeout that its completion
+    // (0.1-1.6 ms later, ~0.54 ms mean) cancels before the command is
+    // re-issued. A lazily cancelled queue then carries ~2200 dead
+    // timeouts, as raid5's heap did (2,048-4,095 entries for ~119
+    // live events). One iteration is one completed command.
+    constexpr int kInFlight = 120;
+    constexpr afa::sim::Tick kTimeout = 10'000'000;
+    const auto delays = logUniformDelays(100'000, 1'600'000);
+    afa::sim::EventQueue q;
+    std::vector<afa::sim::EventHandle> timeouts(kInFlight);
+    std::size_t next = 0;
+    afa::sim::Tick when = 0;
+    int completed = -1;
+    auto issue = [&](int cmd) {
+        timeouts[cmd] = q.schedule(when + kTimeout, [] {});
+        q.schedule(when + delays[next++ & 4095],
+                   [&completed, cmd] { completed = cmd; });
+    };
+    for (int c = 0; c < kInFlight; ++c)
+        issue(c);
+    for (auto _ : state) {
+        q.runNext(when);
+        q.cancel(timeouts[completed]);
+        issue(completed);
+    }
+    benchmark::DoNotOptimize(when);
+}
+BENCHMARK(BM_EventQueueCancelledTimeouts);
 
 void
 BM_EventQueueCapturingEvent(benchmark::State &state)

@@ -17,11 +17,23 @@
 using namespace afa::core;
 using afa::sim::Simulator;
 
+namespace {
+
+constexpr const char *kUsage = R"(Flags:
+  --rounds N        measurement rounds (default 8)
+  --round-ms M      simulated length of one round (default 250)
+  --seed S          root random seed (default 1)
+  --csv             emit CSV instead of an aligned table
+)";
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     afa::sim::Config cfg;
     cfg.parseArgs(argc - 1, argv + 1);
+    afa::bench::exitOnHelp(cfg, argv[0], kUsage);
     auto rounds = cfg.getUint("rounds", 8);
     auto round_ms = cfg.getUint("round_ms", 250);
     bool csv = cfg.getBool("csv", false);

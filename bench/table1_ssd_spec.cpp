@@ -30,6 +30,12 @@ using afa::workload::FioThread;
 
 namespace {
 
+constexpr const char *kUsage = R"(Flags:
+  --runtime-ms M    simulated length of each row's run (default 2000)
+  --seed S          root random seed; row i uses S+i (default 1)
+  --csv             emit CSV instead of an aligned table
+)";
+
 struct Measurement
 {
     double value;
@@ -106,6 +112,7 @@ main(int argc, char **argv)
 {
     afa::sim::Config cfg;
     cfg.parseArgs(argc - 1, argv + 1);
+    afa::bench::exitOnHelp(cfg, argv[0], kUsage);
     Tick runtime = afa::sim::msec(
         static_cast<double>(cfg.getUint("runtime_ms", 2000)));
     std::uint64_t seed = cfg.getUint("seed", 1);

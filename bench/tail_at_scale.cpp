@@ -114,7 +114,7 @@ runClient(const afa::bench::BenchOptions &opts, TuningProfile profile,
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseSingleRunOptions(argc, argv);
 
     afa::stats::Table table({"config", "width", "client_ios",
                              "avg_us", "p99_us", "p99.9_us",

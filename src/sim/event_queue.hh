@@ -14,11 +14,17 @@
  * EventHandle that can be used to cancel the event before it fires;
  * handles are generation-checked so a stale handle can never cancel a
  * recycled slot.
+ *
+ * The queue is a radix queue on the event tick (DESIGN.md §9 "Event
+ * queue"): every slot owns one list node, and cancel() or reclaim()
+ * unlinks it at once, so the queue never holds more entries than
+ * pending events.
  */
 
 #ifndef AFA_SIM_EVENT_QUEUE_HH
 #define AFA_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -46,8 +52,19 @@ struct EventHandle
 };
 
 /**
- * Min-heap of timed events with FIFO tie-breaking and O(1) handle
- * cancellation.
+ * Timed events popped in (when, band, scheduling order), with O(1)
+ * handle cancellation.
+ *
+ * Layout: a radix base (the tick of the last event popped, or lower
+ * after a schedule into the past) and 65 buckets. Bucket b >= 1 holds
+ * the events whose tick first differs from the base in bit b-1, so
+ * buckets cover disjoint, increasing tick ranges and the lowest
+ * non-empty one comes from a 64-bit occupancy mask. Bucket 0 holds
+ * the events due exactly at the base, as one FIFO list per band.
+ * Lists are intrusive and doubly linked through a node array beside
+ * the record slab, and every list only ever appends at its tail:
+ * within one list, events of equal (tick, band) stay in scheduling
+ * order, which is all the pop order needs.
  */
 class EventQueue
 {
@@ -77,7 +94,7 @@ class EventQueue
             if (!fn)
                 panicNullCallback();
         }
-        // The slot/heap bookkeeping is shared out-of-line code; only
+        // The slot/bucket bookkeeping is shared out-of-line code; only
         // the closure construction is stamped out per callable, so the
         // callback lands in its slot without any intermediate moves.
         EventHandle handle = scheduleSlot(when, prio, internal);
@@ -114,10 +131,10 @@ class EventQueue
 
     /**
      * Time of the earliest pending event; kMaxTick when empty.
-     * Discards stale (cancelled) heap entries as a side effect, so the
-     * call is amortised O(log n).
+     * A peek: it scans the lowest non-empty bucket when no event is
+     * due at the base, and never moves the base.
      */
-    Tick nextTime();
+    Tick nextTime() const;
 
     /**
      * Pop and run the earliest pending event.
@@ -136,8 +153,8 @@ class EventQueue
 
     /**
      * Pop the earliest pending event only if it is due at or before
-     * @p until. Combines nextTime() + popNext() into one heap pass --
-     * the Simulator::run() hot path.
+     * @p until -- the Simulator::run() hot path. A refusal is a peek
+     * and leaves the base where it was.
      * @retval false when the queue is empty or the earliest event is
      *         after @p until (distinguish via empty()).
      */
@@ -153,6 +170,13 @@ class EventQueue
     /** Drop every pending event. */
     void clear();
 
+    /**
+     * Entries linked into the buckets, counted by walking every list;
+     * O(n), for tests. Equals size(): cancelled events leave nothing
+     * behind.
+     */
+    std::size_t linkedEntries() const;
+
   private:
     struct Record
     {
@@ -162,61 +186,48 @@ class EventQueue
         bool internal = false; ///< engine plumbing (see schedule())
     };
 
-    /** Slot index width inside a heap key (16M concurrent slots). */
-    static constexpr unsigned kSlotBits = 24;
-    static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
-    /** Sequence numbers above this would overflow the packed key. */
-    static constexpr std::uint64_t kMaxSeq = 1ull << (64 - kSlotBits);
-    /** slotKey value marking a slot with no live heap entry. */
-    static constexpr std::uint64_t kStaleKey = ~0ull;
-
-    /**
-     * Compact heap entry: the key packs (seq << 24 | slot), so
-     * comparing keys compares seq (FIFO order; slots never tie
-     * because seq is unique); prio is the same-tick ordering band.
-     * Liveness is checked against the dense slotKey array instead of
-     * the fat Record, keeping skims and pops inside two small arrays.
-     */
-    struct HeapEntry
+    /** A slot's place in the buckets; its bucket is always
+     *  bucketOf(when), so it is not stored. */
+    struct Node
     {
-        Tick when;
-        std::uint64_t key;
-        std::uint32_t prio;
+        Tick when = 0;
+        std::uint32_t band = 0;
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
     };
 
-    /** Min-order on (when, prio, seq); seq gives in-band FIFO. */
-    static bool
-    earlier(const HeapEntry &a, const HeapEntry &b)
+    /** The FIFO list of one band's events due at the base. */
+    struct Run
     {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.prio != b.prio)
-            return a.prio < b.prio;
-        return a.key < b.key;
-    }
-
-    /** Comparator for the std heap algorithms (max-heap inversion). */
-    struct Later
-    {
-        bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
-        {
-            return earlier(b, a);
-        }
+        std::uint32_t band;
+        std::uint32_t head;
+        std::uint32_t tail;
     };
+
+    /** End-of-list link. */
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+    /** Slot cap: the Simulator tags mailbox handles above 24 bits. */
+    static constexpr std::uint32_t kMaxSlots = 1u << 24;
+    /** Buckets 1..64; index 0 is unused (bucket 0 is runs). */
+    static constexpr unsigned kBuckets = 65;
 
     std::vector<Record> slab;
-    std::vector<std::uint64_t> slotKey; ///< parallel to slab
+    std::vector<Node> nodes; ///< parallel to slab
     std::vector<std::uint32_t> freeSlots;
-    std::vector<HeapEntry> heap;
-    std::uint64_t nextSeq;
+    /** Bucket 0, sorted by descending band: the back runs next. */
+    std::vector<Run> runs;
+    std::array<std::uint32_t, kBuckets> heads;
+    std::array<std::uint32_t, kBuckets> tails;
+    /** Bit b-1 set when bucket b >= 1 is non-empty. */
+    std::uint64_t occupied;
+    Tick base;
     std::uint64_t numExecuted;
     std::uint64_t numInternal;
     std::size_t numPending;
 
     /**
-     * Allocate a slot, mark it scheduled, and push its heap entry;
-     * the caller constructs the callback into the returned slot.
+     * Allocate a slot, mark it scheduled, and link its node; the
+     * caller constructs the callback into the returned slot.
      */
     EventHandle scheduleSlot(Tick when, std::uint32_t prio,
                              bool internal);
@@ -236,55 +247,33 @@ class EventQueue
     std::uint32_t growSlab();
 
     [[noreturn]] static void panicNullCallback();
-    [[noreturn]] static void panicSeqExhausted();
 
-    bool
-    live(const HeapEntry &entry) const
-    {
-        return slotKey[entry.key & kSlotMask] == entry.key;
-    }
-
-    /** Remove and return the heap top (heap must be non-empty). */
-    HeapEntry popTop();
-
-    /**
-     * Start pulling a live top entry's record into cache before the
-     * heap sift runs; for deep heaps the slab access is a likely miss
-     * that this hides behind the pop.
-     */
-    void
-    prefetchRecord(const HeapEntry &entry) const
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        std::uint32_t slot =
-            static_cast<std::uint32_t>(entry.key & kSlotMask);
-        __builtin_prefetch(&slab[slot], 1);
-#else
-        (void)entry;
-#endif
-    }
-
-    /** Pop cancelled entries off the heap top. */
-    void skimStale();
-
-    /** Extract a live record's callback after its entry is popped. */
-    void
-    takeRecord(const HeapEntry &entry, Tick &when_out, EventFn &fn_out)
-    {
-        std::uint32_t slot =
-            static_cast<std::uint32_t>(entry.key & kSlotMask);
-        Record &rec = slab[slot];
-        fn_out = std::move(rec.fn);
-        rec.fn = nullptr;
-        rec.scheduled = false;
-        ++rec.gen;
-        slotKey[slot] = kStaleKey;
-        freeSlots.push_back(slot);
-        --numPending;
-        ++numExecuted;
-        numInternal += rec.internal;
-        when_out = entry.when;
-    }
+    unsigned bucketOf(Tick when) const;
+    /** Link a node into its bucket (by its tick and the base). */
+    void link(std::uint32_t slot);
+    /** Link a node due at the base into its band's run. */
+    void linkAtBase(std::uint32_t slot);
+    void append(std::uint32_t &head, std::uint32_t &tail,
+                std::uint32_t slot);
+    /** Move list [first, last] to the tail of bucket @p b. */
+    void splice(unsigned b, std::uint32_t first, std::uint32_t last);
+    void unlink(std::uint32_t slot);
+    /** The run of @p band in bucket 0 (which must hold one). */
+    std::vector<Run>::iterator findRun(std::uint32_t band);
+    /** Move the base below every pending event to @p when. */
+    void lowerBase(Tick when);
+    /** The lowest non-empty bucket b >= 1 (occupied must be set). */
+    unsigned lowestBucket() const;
+    /** Earliest tick in the lowest non-empty bucket b >= 1. */
+    Tick lowestTick() const;
+    /** Make @p when (the lowestTick()) the base and redistribute its
+     *  bucket; its earliest events land in bucket 0. */
+    void advance(Tick when);
+    /** Unlink the next event due at the base and retire its record;
+     *  bucket 0 must be non-empty. */
+    void popAtBase(Tick &when_out, EventFn &fn_out);
+    /** Free a slot that is no longer linked. */
+    void release(std::uint32_t slot);
 };
 
 } // namespace afa::sim

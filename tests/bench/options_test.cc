@@ -2,7 +2,10 @@
  * @file
  * The figure benches' shared option parsing: open-loop flags are
  * range-checked instead of silently falling back to another traffic
- * model, and --help prints the flags instead of running a figure.
+ * model, single-run benches reject the run-plan flags they cannot
+ * honour, and --help prints the flags instead of running a figure
+ * (every bench binary's --help is checked end to end by the
+ * <bench>_help ctest entries).
  */
 
 #include <gtest/gtest.h>
@@ -22,14 +25,28 @@ class BenchOptionsTest : public ::testing::Test
     void TearDown() override { afa::sim::setThrowOnError(false); }
 
     static afa::bench::BenchOptions
-    parse(std::vector<std::string> args)
+    parse(std::vector<std::string> args, bool single_run = false)
     {
         args.insert(args.begin(), "bench");
         std::vector<char *> argv;
         for (auto &a : args)
             argv.push_back(a.data());
-        return afa::bench::parseOptions(static_cast<int>(argv.size()),
-                                        argv.data());
+        const int argc = static_cast<int>(argv.size());
+        return single_run
+                   ? afa::bench::parseSingleRunOptions(argc, argv.data())
+                   : afa::bench::parseOptions(argc, argv.data());
+    }
+
+    /** The fatal diagnostic of a single-run parse of @p args. */
+    static std::string
+    singleRunError(std::vector<std::string> args)
+    {
+        try {
+            parse(std::move(args), true);
+        } catch (const afa::sim::SimError &e) {
+            return e.message;
+        }
+        return "";
     }
 };
 
@@ -58,6 +75,28 @@ TEST_F(BenchOptionsTest, BadOpenLoopFlagsAreFatal)
             << flag;
 }
 
+TEST_F(BenchOptionsTest, SingleRunBenchesRejectRunPlanFlags)
+{
+    // fig06-fig11 and fig13 make their runs directly: --jobs, --seeds
+    // and --metrics-json used to be accepted and then ignored.
+    EXPECT_EQ(parse({}, true).jobs, 1u);
+    EXPECT_EQ(parse({"--jobs=1", "--seeds=1"}, true).seeds, 1u);
+    EXPECT_NE(singleRunError({"--jobs=4"}).find("--jobs 4"),
+              std::string::npos);
+    EXPECT_NE(singleRunError({"--jobs=0"}).find("--jobs 0"),
+              std::string::npos);
+    EXPECT_NE(singleRunError({"--seeds=3"}).find("--seeds 3"),
+              std::string::npos);
+    EXPECT_NE(singleRunError({"--metrics-json=m.json"})
+                  .find("--metrics-json m.json"),
+              std::string::npos);
+    // The run-plan parse still takes all three.
+    auto plan = parse({"--jobs=4", "--seeds=3", "--metrics-json=m.json"});
+    EXPECT_EQ(plan.jobs, 4u);
+    EXPECT_EQ(plan.seeds, 3u);
+    EXPECT_EQ(plan.metricsJsonPath, "m.json");
+}
+
 TEST_F(BenchOptionsTest, HelpPrintsUsageAndExits)
 {
     // --help used to be an unknown key: the bench ran its full
@@ -66,6 +105,8 @@ TEST_F(BenchOptionsTest, HelpPrintsUsageAndExits)
     // nothing is built.
     EXPECT_EXIT(parse({"--help"}), ::testing::ExitedWithCode(0), "");
     EXPECT_EXIT(parse({"--ssds=8", "--help"}),
+                ::testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(parse({"--jobs=4", "--help"}, true),
                 ::testing::ExitedWithCode(0), "");
     const std::string usage = afa::bench::kCommonUsage;
     for (const char *flag :
