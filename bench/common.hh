@@ -42,13 +42,9 @@ inline constexpr const char *kCommonUsage = R"(Common flags:
   --jobs N          worker threads for the run plan (default 1;
                     0 = all hardware threads). Results are
                     bit-identical to a serial run. Benches without
-                    a run plan (fig06-fig11, fig13, tail_at_scale)
-                    reject --jobs, --seeds and --metrics-json.
-  --shards N        event-core shards inside every run (default 1).
-                    Partitions the SSD subtrees over N conservative
-                    shards; results are bit-identical to --shards 1,
-                    only faster. Composes with --jobs (threads used
-                    = jobs * shards).
+                    a run plan (fig06-fig11, fig13, tail_at_scale,
+                    fig_fault_tail) reject --jobs and --seeds;
+                    all but fig_fault_tail reject --metrics-json.
   --seeds N         replicate every run with seeds S..S+N-1 and
                     aggregate the ladders across replicas
   --metrics-json F  also write the per-run metrics JSON to file F
@@ -74,7 +70,7 @@ inline constexpr const char *kCommonUsage = R"(Common flags:
                     results are bit-identical, only slower -- the
                     A/B is the exactness check (DESIGN.md §9)
   --telemetry W     sample a windowed telemetry timeline every W
-                    simulated milliseconds (DESIGN.md §14): per-
+                    simulated milliseconds (DESIGN.md §13): per-
                     stage latency histograms with ACT-style
                     exceed counters, counter/gauge series, and
                     the simulator self-profile. Figures stay
@@ -84,7 +80,7 @@ inline constexpr const char *kCommonUsage = R"(Common flags:
   --telemetry-csv F write the timeline as tidy CSV to file F
                     (implies --telemetry 100 when absent)
 
-Open-loop traffic flags (DESIGN.md §15). A non-zero --rate switches
+Open-loop traffic flags (DESIGN.md §14). A non-zero --rate switches
 the run from closed-loop FIO threads to the arrival-driven
 OpenLoopEngine:
   --rate R          aggregate offered load in ops/sec (0 = closed
@@ -135,6 +131,10 @@ parseOptions(int argc, char **argv)
     afa::sim::Config cfg;
     cfg.parseArgs(argc - 1, argv + 1);
     exitOnHelp(cfg, argv[0], kCommonUsage);
+    if (cfg.has("shards"))
+        afa::sim::fatal("--shards was removed: every run executes on "
+                        "one serial event loop (use --jobs to spread "
+                        "a run plan's runs over workers)");
     BenchOptions opts;
     auto &p = opts.params;
     p.ssds = static_cast<unsigned>(cfg.getUint("ssds", 64));
@@ -177,9 +177,6 @@ parseOptions(int argc, char **argv)
     opts.csv = cfg.getBool("csv", false);
     opts.perDevice = cfg.getBool("per_device", false);
     p.captureSystemReport = cfg.getBool("report", false);
-    p.shards = static_cast<unsigned>(cfg.getUint("shards", 1));
-    if (p.shards == 0)
-        p.shards = 1;
     opts.jobs = static_cast<unsigned>(cfg.getUint("jobs", 1));
     opts.seeds = static_cast<unsigned>(cfg.getUint("seeds", 1));
     if (opts.seeds == 0)
@@ -224,10 +221,12 @@ parseOptions(int argc, char **argv)
  * parseOptions() for a bench that makes its runs itself instead of
  * executing a RunPlan. --jobs, --seeds and --metrics-json only drive
  * the run-plan machinery, which such a bench never reaches, so they
- * are fatal rather than silently ignored.
+ * are fatal rather than silently ignored. A bench that writes its own
+ * metrics JSON passes @p writes_metrics_json to keep that flag.
  */
 inline BenchOptions
-parseSingleRunOptions(int argc, char **argv)
+parseSingleRunOptions(int argc, char **argv,
+                      bool writes_metrics_json = false)
 {
     BenchOptions opts = parseOptions(argc, argv);
     if (opts.jobs != 1)
@@ -239,7 +238,7 @@ parseSingleRunOptions(int argc, char **argv)
         afa::sim::fatal("--seeds %u: %s does not replicate its runs "
                         "(run-plan benches such as fig12 take --seeds)",
                         opts.seeds, argv[0]);
-    if (!opts.metricsJsonPath.empty())
+    if (!writes_metrics_json && !opts.metricsJsonPath.empty())
         afa::sim::fatal("--metrics-json %s: %s writes no per-run "
                         "metrics (run-plan benches such as fig12 do)",
                         opts.metricsJsonPath.c_str(), argv[0]);

@@ -1,6 +1,6 @@
 # Re-runs a pinned bench telemetry configuration and fails when the
 # windowed timeline JSONL drifts from the committed golden. The
-# artifacts are fully deterministic (DESIGN.md §14): a serial run at a
+# artifacts are fully deterministic (DESIGN.md §13): a serial run at a
 # fixed seed emits no wall-clock fields, so any diff is a real model
 # or format change. To regenerate after an intentional change, run the
 # bench with the ARGS below plus --telemetry-out <golden path>:

@@ -4,7 +4,6 @@
 #include "obs/span_log.hh"
 #include "obs/telemetry.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
 
 namespace afa::core {
 
@@ -26,34 +25,11 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
     ft.ssds = params.ssds;
     fabricTopo = buildAfaTopology(*pcieFabric, ft);
 
-    // Shard partition: host + fabric + fault books on shard 0, the
-    // SSD subtrees block-partitioned across shards 1..K-1 in device
-    // order. The lookahead horizon is the fabric's minimum link
-    // propagation: no cross-shard interaction can happen sooner than
-    // one wire traversal. The horizon, the endpoint delivery bands,
-    // and the shipped completion sends are set up in serial runs too:
-    // the schedule is then the same deterministic function of the
-    // model at every shard count, which is what makes the figures
-    // bit-identical under --shards (see DESIGN.md "Sharded execution
-    // contract").
-    const unsigned shard_count = sim.shards();
-    ssdShards.assign(params.ssds, 0);
-    sim.setLookahead(pcieFabric->minPropagation());
+    // Every SSD endpoint's deliveries and outbound ships use the
+    // same-tick ordering band 2 + node (see Fabric::markEndpoint()),
+    // which keeps the committed same-tick positions.
     for (unsigned d = 0; d < params.ssds; ++d)
         pcieFabric->markEndpoint(fabricTopo.ssds[d]);
-    if (shard_count > 1) {
-        if (tracer)
-            afa::sim::fatal("AfaSystem: the debug tracer is not "
-                            "shard-safe; run with shards=1");
-        if (sim.lookahead() == afa::sim::TickDelta{})
-            afa::sim::fatal("AfaSystem: sharded run needs a positive "
-                            "minimum link propagation for lookahead");
-        for (unsigned d = 0; d < params.ssds; ++d) {
-            unsigned s = 1 + (d * (shard_count - 1)) / params.ssds;
-            ssdShards[d] = s;
-            pcieFabric->setNodeShard(fabricTopo.ssds[d], s);
-        }
-    }
 
     // Host side.
     sched = std::make_unique<afa::host::Scheduler>(
@@ -63,14 +39,12 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
         sim, "irq", *sched, params.ssds, tracer);
     bg = std::make_unique<afa::host::BackgroundLoad>(
         sim, "bg", *sched, params.background);
-    driver = std::make_unique<Driver>(*this, params.ssds);
-    ships.resize(params.ssds);
+    driver = std::make_unique<Driver>(*this);
 
-    // SSDs. Each device subtree is built (and later started) under
-    // its own ShardScope so every event it schedules lands on its
-    // shard's queue.
+    // SSDs.
+    const afa::sim::Tick ship_delay =
+        static_cast<afa::sim::Tick>(pcieFabric->minPropagation().count());
     for (unsigned d = 0; d < params.ssds; ++d) {
-        afa::sim::ShardScope shard_scope(sim, ssdShards[d]);
         nands.push_back(std::make_unique<afa::nand::NandArray>(
             sim, afa::sim::strfmt("nvme%u.nand", d), params.nand));
         ctrls.push_back(std::make_unique<afa::nvme::Controller>(
@@ -79,38 +53,33 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
         afa::nvme::Controller &ctrl = *ctrls.back();
         ctrl.setFastPath(params.deviceFastPath);
         ctrl.setQueuePairs(sched->topology().logicalCpus());
-        ctrl.setTransport([this, d](std::uint32_t bytes, std::uint64_t io,
-                                    afa::sim::EventFn fn) {
-            // Device -> fabric: "ship" the send to the fabric's shard
-            // one lookahead later, backdating the fabric entry to the
-            // device-side tick. Exact because the device's edge link
-            // carries no through-traffic or reservations, so nothing
-            // can have touched it in the interim, and link arithmetic
-            // already includes >= one propagation delay. Serial runs
-            // take the same path (lookahead = min propagation) with
-            // the same ordering band, so simultaneous completions
-            // from different devices walk the fabric in the same
-            // canonical ascending-endpoint order at any shard count.
-            // The send is parked in the device's ship pool so the
-            // shipped closure stays inline.
+        ctrl.setTransport([this, d, ship_delay](std::uint32_t bytes,
+                                                std::uint64_t io,
+                                                afa::sim::EventFn fn) {
+            // Device -> fabric: the send is shipped to the fabric one
+            // minimum link propagation later as an internal event in
+            // the endpoint's band, and the fabric entry is backdated
+            // to the device-side tick. Exact because the device's
+            // edge link carries no through-traffic or reservations,
+            // so nothing can have touched it in the interim. The
+            // ship only reproduces the committed same-tick order of
+            // simultaneous completions (ascending endpoint). The send
+            // is parked in the ship pool so the closure stays inline.
             const afa::sim::Tick entry = sim.now();
-            auto *slot = ships[d].acquire();
-            slot->value.entry = entry;
-            slot->value.bytes = bytes;
-            slot->value.io = io;
-            slot->value.fn = std::move(fn);
-            sim.scheduleOnShard(
-                0, entry + sim.lookahead(),
+            const std::uint32_t slot = ships.acquire();
+            ships[slot] = Ship{entry, bytes, io, std::move(fn)};
+            sim.scheduleAt(
+                entry + ship_delay,
                 [this, slot, d] {
-                    Ship ship = afa::sim::HandoffPool<Ship>::take(slot);
+                    Ship ship = std::move(ships[slot]);
+                    ships.release(slot);
                     pcieFabric->sendSpannedAt(
                         ship.entry, fabricTopo.ssds[d], fabricTopo.host,
                         ship.bytes, ship.io, afa::obs::ssdTrack(d),
                         afa::obs::Stage::FabricComplete,
                         std::move(ship.fn));
                 },
-                /*internal=*/true,
-                /*order=*/2 + fabricTopo.ssds[d]);
+                /*band=*/2 + fabricTopo.ssds[d], /*internal=*/true);
         });
         ctrl.setCompletionHandler(
             [this, d](const NvmeCompletion &completion) {
@@ -127,7 +96,7 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
             ctrl_ptrs.push_back(ctrl.get());
         faults = std::make_unique<afa::fault::FaultEngine>(
             sim, params.faults, std::move(ctrl_ptrs),
-            pcieFabric.get(), fabricTopo.ssds, ssdShards);
+            pcieFabric.get(), fabricTopo.ssds);
     }
 }
 
@@ -140,10 +109,8 @@ AfaSystem::start()
     sched->start();
     irqSub->start();
     bg->start();
-    for (unsigned d = 0; d < ctrls.size(); ++d) {
-        afa::sim::ShardScope shard_scope(sim, ssdShards[d]);
-        ctrls[d]->start();
-    }
+    for (auto &ctrl : ctrls)
+        ctrl->start();
     if (faults)
         faults->start();
 }
@@ -197,10 +164,6 @@ AfaSystem::attachTelemetry(afa::obs::Telemetry &telemetry)
 {
     if (!telemetry.enabled())
         return;
-    // Every source below reads state that only shard-0 events mutate
-    // (the host, the fabric walks — device sends are shipped to shard
-    // 0 — and the fault books), so a boundary sample on shard 0 is
-    // race-free and shard-count-invariant.
     telemetry.addCounter("fabric.packets", [this] {
         return pcieFabric->stats().packets;
     });
@@ -448,11 +411,11 @@ AfaSystem::Driver::startAttempt(std::uint32_t slot)
             sys.sysParams.faults->nvmeTimeout,
             [this, id] { onTimeout(id); });
 
-    // The command travels parked in the device's SQE pool: it must
-    // reach the controller as sent even if this attempt times out
-    // (and its slot is reused) while the SQE is in flight.
-    auto *sqe = sqes[request.device].acquire();
-    NvmeCommand &cmd = sqe->value;
+    // The command travels parked in the SQE pool: it must reach the
+    // controller as sent even if this attempt times out (and its
+    // slot is reused) while the SQE is in flight.
+    const std::uint32_t sqe = sqes.acquire();
+    NvmeCommand &cmd = sqes[sqe];
     cmd.op = request.op;
     cmd.lba = request.lba;
     cmd.bytes = request.bytes;
@@ -465,9 +428,10 @@ AfaSystem::Driver::startAttempt(std::uint32_t slot)
     sys.pcieFabric->sendSpanned(
         sys.fabricTopo.host, sys.fabricTopo.ssds[request.device],
         sys.sysParams.sqeBytes, cmd.tag, afa::obs::cpuTrack(cpu),
-        afa::obs::Stage::FabricSubmit, [ctrl, sqe] {
-            ctrl->submit(
-                afa::sim::HandoffPool<NvmeCommand>::take(sqe));
+        afa::obs::Stage::FabricSubmit, [this, ctrl, sqe] {
+            const NvmeCommand sent = sqes[sqe];
+            sqes.release(sqe);
+            ctrl->submit(sent);
         });
 }
 

@@ -132,16 +132,15 @@ class AfaSystem
     void setSpanLog(afa::obs::SpanLog *log);
 
     /**
-     * Register this system's shard-0-resident sources on a telemetry
-     * collector (DESIGN.md §14): fabric packet/byte/fast-path/
+     * Register this system's sources on a telemetry
+     * collector (DESIGN.md §13): fabric packet/byte/fast-path/
      * fallback counters, IRQ deliveries, context switches, a driver
      * in-flight gauge, and — on fault runs only, mirroring
      * publishMetrics() — driver recovery and fault bookkeeping
      * series, so healthy timelines never change when fault support
      * is compiled in. Device-resident state (nvme/ftl/nand) is
-     * deliberately absent: sampling it live from shard 0 would race
-     * with the device shards; per-device behaviour reaches the
-     * timeline through the windowed stage histograms instead.
+     * deliberately absent: per-device behaviour reaches the timeline
+     * through the windowed stage histograms instead.
      */
     void attachTelemetry(afa::obs::Telemetry &telemetry);
 
@@ -175,14 +174,6 @@ class AfaSystem
     /** The fault engine, or nullptr when no plan is loaded. */
     afa::fault::FaultEngine *faultEngine() { return faults.get(); }
 
-    /**
-     * Which simulator shard each SSD subtree executes on (indexed by
-     * device). All zeros in a serial run; under a sharded Simulator
-     * the devices are block-partitioned over shards 1..K-1 while the
-     * host, fabric and fault books stay on shard 0.
-     */
-    const std::vector<unsigned> &ssdShardMap() const { return ssdShards; }
-
     /** Outstanding driver commands, including retries waiting out
      *  their backoff (0 when quiescent). */
     std::size_t outstandingCommands() const;
@@ -193,10 +184,7 @@ class AfaSystem
     class Driver : public afa::workload::IoEngine
     {
       public:
-        Driver(AfaSystem &system, unsigned ssds)
-            : sys(system), sqes(ssds)
-        {
-        }
+        explicit Driver(AfaSystem &system) : sys(system) {}
 
         void submit(unsigned cpu,
                     const afa::workload::IoRequest &request,
@@ -252,16 +240,15 @@ class AfaSystem
          */
         std::vector<IdEntry> idTable;
         std::size_t liveIds = 0;
-        /** Commands crossing the fabric to each device (the delivery
-         *  runs on the device's shard). */
-        std::vector<afa::sim::HandoffPool<afa::nvme::NvmeCommand>> sqes;
+        /** Commands crossing the fabric to their device. */
+        afa::sim::SlotPool<afa::nvme::NvmeCommand> sqes;
         /** IOs between a timeout and their backed-off resubmission
          *  (no live command id, not on the device). */
         std::size_t backoffWaits = 0;
         DriverStats drvStats;
     };
 
-    /** A device completion on its way to the fabric's shard. */
+    /** A device completion on its way to the fabric. */
     struct Ship
     {
         afa::sim::Tick entry = 0; ///< device-side send tick
@@ -282,9 +269,8 @@ class AfaSystem
     std::unique_ptr<afa::host::BackgroundLoad> bg;
     std::unique_ptr<Driver> driver;
     std::unique_ptr<afa::fault::FaultEngine> faults;
-    std::vector<unsigned> ssdShards;
-    /** Per device: completions being shipped (see the transport). */
-    std::vector<afa::sim::HandoffPool<Ship>> ships;
+    /** Completions being shipped to the fabric (see the transport). */
+    afa::sim::SlotPool<Ship> ships;
     std::vector<std::function<void(afa::obs::MetricsRegistry &)>>
         extraMetricsSources;
     afa::obs::SpanLog *spanLogPtr = nullptr;

@@ -42,7 +42,7 @@ runOpenLoop(const ExperimentParams &params)
     result.perDevice.resize(params.ssds);
     result.runs = 1;
 
-    Simulator sim(params.seed, std::max(1u, params.shards));
+    Simulator sim(params.seed);
 
     AfaSystemParams sys_params;
     sys_params.ssds = params.ssds;
@@ -68,7 +68,6 @@ runOpenLoop(const ExperimentParams &params)
         afa::obs::TraceParams trace;
         trace.mask = params.traceMask;
         trace.capacity = params.traceCapacity;
-        trace.shards = std::max(1u, params.shards);
         spanLog = std::make_unique<afa::obs::SpanLog>(trace);
         system.setSpanLog(spanLog.get());
     }
@@ -76,13 +75,11 @@ runOpenLoop(const ExperimentParams &params)
     if (params.telemetryWindow > 0) {
         afa::obs::TelemetryParams tp;
         tp.window = params.telemetryWindow;
-        tp.shards = std::max(1u, params.shards);
         telemetry = std::make_unique<afa::obs::Telemetry>(tp);
         if (!spanLog) {
             afa::obs::TraceParams trace;
             trace.mask = afa::obs::kAllCategories;
             trace.capacity = params.traceCapacity;
-            trace.shards = std::max(1u, params.shards);
             spanLog = std::make_unique<afa::obs::SpanLog>(trace);
             system.setSpanLog(spanLog.get());
             internalTrace = true;
@@ -207,8 +204,7 @@ ExperimentRunner::run(const ExperimentParams &params)
     for (std::size_t run_idx = 0; run_idx < runs.size(); ++run_idx) {
         const Run &placements = runs[run_idx];
 
-        Simulator sim(params.seed + run_idx * 7919,
-                      std::max(1u, params.shards));
+        Simulator sim(params.seed + run_idx * 7919);
 
         AfaSystemParams sys_params;
         sys_params.ssds = params.ssds;
@@ -238,7 +234,6 @@ ExperimentRunner::run(const ExperimentParams &params)
             afa::obs::TraceParams trace;
             trace.mask = params.traceMask;
             trace.capacity = params.traceCapacity;
-            trace.shards = std::max(1u, params.shards);
             spanLog = std::make_unique<afa::obs::SpanLog>(trace);
             system.setSpanLog(spanLog.get());
         }
@@ -246,13 +241,11 @@ ExperimentRunner::run(const ExperimentParams &params)
         if (params.telemetryWindow > 0) {
             afa::obs::TelemetryParams tp;
             tp.window = params.telemetryWindow;
-            tp.shards = std::max(1u, params.shards);
             telemetry = std::make_unique<afa::obs::Telemetry>(tp);
             if (!spanLog) {
                 afa::obs::TraceParams trace;
                 trace.mask = afa::obs::kAllCategories;
                 trace.capacity = params.traceCapacity;
-                trace.shards = std::max(1u, params.shards);
                 spanLog = std::make_unique<afa::obs::SpanLog>(trace);
                 system.setSpanLog(spanLog.get());
                 internalTrace = true;

@@ -22,23 +22,20 @@
  *    progress, ...) sampled at every window boundary and exported as
  *    per-window deltas (counters) or instantaneous values (gauges).
  *
- *  - Sim rows: the Simulator's self-profiling stream
- *    (Simulator::shardStats()): per-shard executed events, mailbox
- *    cross-posts, barrier windows, and barrier wall-stall time.
+ *  - Sim rows: the Simulator's self-profiling stream: model and
+ *    plumbing events executed per window.
  *
- * Determinism contract (DESIGN.md §14): sampling happens in events
- * scheduled with internal=true on shard 0, in the highest same-tick
- * ordering band, so
+ * Determinism contract (DESIGN.md §13): sampling happens in events
+ * scheduled with internal=true in the highest same-tick ordering
+ * band, so
  *  (a) samples never count toward executedEvents()/events-per-IO,
- *  (b) a sample at tick T observes shard-0 state after every model
- *      event of tick T, a rule that is independent of shard count,
+ *  (b) a sample at tick T observes the state after every model event
+ *      of tick T,
  *  (c) every canonical report stays byte-identical with telemetry on
- *      or off at any --shards x --jobs.
- * Registered sources must be shard-0-resident (only mutated by
- * shard-0 events); per-device state is windowed through the stage
- * histograms instead of live sampling. Wall-clock self-profiling
- * fields are diagnostic only and are emitted only when non-zero, so
- * serial timelines are fully deterministic artifacts.
+ *      or off at any --jobs.
+ * Per-device state is windowed through the stage histograms instead
+ * of live sampling. Timelines hold no wall-clock field, so they are
+ * fully deterministic artifacts.
  */
 
 #ifndef AFA_OBS_TELEMETRY_HH
@@ -135,9 +132,8 @@ struct TelemetryTimeline
     /** Per-window simulator self-profile (deltas over the window). */
     struct SimWindow
     {
-        std::vector<afa::sim::ShardStat> shards;
-        std::uint64_t windows = 0;        ///< barrier windows planned
-        std::uint64_t mailboxDrained = 0; ///< cross messages enqueued
+        std::uint64_t executedEvents = 0; ///< model events
+        std::uint64_t plumbingEvents = 0; ///< internal engine events
     };
 
     /** window index -> self-profile deltas. */
@@ -146,11 +142,11 @@ struct TelemetryTimeline
     bool empty() const;
 
     /** Fold another timeline in: stage cells and counter deltas add,
-     *  gauges keep the larger value, sim profiles add shard-wise. */
+     *  gauges keep the larger value, sim profiles add. */
     void merge(const TelemetryTimeline &other);
 
     /** JSON-lines export: one self-describing object per row, rows
-     *  ordered by (window, row kind, stage id / name / shard). */
+     *  ordered by (window, row kind, stage id / name). */
     std::string toJsonLines() const;
 
     /** The same rows as one JSON array (for --metrics-json embeds). */
@@ -165,22 +161,19 @@ struct TelemetryParams
 {
     /** Sampling window in ticks (0 disables everything). */
     Tick window = 0;
-
-    /** Stage-lane count; must match the Simulator's shard count. */
-    unsigned shards = 1;
 };
 
 /**
  * The telemetry collector. One instance belongs to one Simulator
- * (like a SpanLog): stage feeds index per-shard lanes, sources are
- * sampled by an internal shard-0 event every window.
+ * (like a SpanLog): stage feeds arrive from the span log, sources are
+ * sampled by an internal event every window.
  */
 class Telemetry
 {
   public:
     /** Same-tick ordering band of the sampling events: above every
      *  model band, so a sample at tick T runs after all of T's model
-     *  events on shard 0 — at any shard count. */
+     *  events. */
     static constexpr std::uint32_t kSampleOrderBand = 0xffffffffu;
 
     explicit Telemetry(const TelemetryParams &params);
@@ -192,17 +185,16 @@ class Telemetry
     Tick window() const { return windowTicks; }
 
     /**
-     * Stage feed, called by SpanLog::record() on the recording
-     * shard's thread: bucket @p duration into the window that holds
-     * @p end. Never allocates outside a window's first record; never
-     * touches another lane.
+     * Stage feed, called by SpanLog::record(): bucket @p duration
+     * into the window that holds @p end. Never allocates outside a
+     * window's first record.
      */
     void recordSpan(Stage stage, Tick end, Tick duration);
 
     /**
      * Register a counter source sampled at every window boundary.
-     * The callback must read shard-0-resident state only and must be
-     * monotonic; rows report the per-window delta.
+     * The callback must be monotonic; rows report the per-window
+     * delta.
      */
     void addCounter(const std::string &name,
                     std::function<std::uint64_t()> fn);
@@ -213,7 +205,7 @@ class Telemetry
 
     /**
      * Begin sampling on @p sim: schedules the first window-boundary
-     * event (internal, shard 0, kSampleOrderBand) and arms the
+     * event (internal, kSampleOrderBand) and arms the
      * self-profiling stream. No-op when disabled.
      */
     void start(afa::sim::Simulator &sim);
@@ -225,8 +217,8 @@ class Telemetry
      */
     void finish();
 
-    /** Build the mergeable timeline (lanes merged, samples turned
-     *  into per-window deltas). Call outside the parallel phase. */
+    /** Build the mergeable timeline (samples turned into per-window
+     *  deltas). */
     TelemetryTimeline timeline() const;
 
   private:
@@ -235,19 +227,8 @@ class Telemetry
     {
         std::vector<std::uint64_t> counters; ///< cumulative values
         std::vector<double> gauges;
-        afa::sim::SimProfile profile; ///< cumulative self-profile
-    };
-
-    /** One shard's private stage-window map (cache-line padded; the
-     *  cached row pointer makes the common same-window record a
-     *  single map-free hit — std::map nodes are pointer-stable). */
-    struct alignas(64) Lane
-    {
-        std::uint64_t cachedWindow = ~std::uint64_t{0};
-        std::map<std::uint8_t, WindowStageCell> *cachedRow = nullptr;
-        std::map<std::uint64_t,
-                 std::map<std::uint8_t, WindowStageCell>>
-            windows;
+        std::uint64_t executed = 0; ///< cumulative model events
+        std::uint64_t plumbing = 0; ///< cumulative plumbing events
     };
 
     struct Source
@@ -263,9 +244,15 @@ class Telemetry
     void sampleWindow(std::uint64_t window_idx);
 
     Tick windowTicks;
-    std::vector<Lane> lanes;
+    /** window index -> stage id -> cell. The cached row pointer makes
+     *  the common same-window record a single map-free hit (std::map
+     *  nodes are pointer-stable). */
+    std::map<std::uint64_t, std::map<std::uint8_t, WindowStageCell>>
+        stageWindows;
+    std::uint64_t cachedWindow = ~std::uint64_t{0};
+    std::map<std::uint8_t, WindowStageCell> *cachedRow = nullptr;
     std::vector<Source> sources;
-    /** window index -> cumulative samples (shard 0 only). */
+    /** window index -> cumulative samples. */
     std::map<std::uint64_t, SampleRow> samples;
     afa::sim::Simulator *simPtr = nullptr;
     afa::sim::EventHandle sampleHandle{};

@@ -7,7 +7,6 @@
 
 #include "obs/span_log.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
 #include "sim/simulator.hh"
 
 namespace afa::pcie {
@@ -242,29 +241,15 @@ Fabric::route(NodeId src, NodeId dst) const
 }
 
 /**
- * Schedule a packet's single delivery event at @p arrive.
- *
- * Endpoint deliveries (deliveryOrder() != 0) are posted — in serial
- * runs too — through scheduleOnShard() with the node's canonical
- * ordering band, so their same-tick position is a function of (tick,
- * destination, poster order) alone and replay is bit-identical at any
- * shard count. Host-bound deliveries are always fabric-local and keep
- * plain FIFO order. Either way the handle can be reclaimed if the
- * packet is revoked: the revoking entrant is at least one link flight
- * ahead of the delivery, so a cross-shard post is still a full
- * lookahead window away.
+ * Schedule a packet's single delivery event at @p arrive, in the
+ * destination's ordering band: endpoint deliveries keep their
+ * committed same-tick position, host-bound ones (band 0) plain FIFO
+ * order. The handle can be reclaimed if the packet is revoked.
  */
 afa::sim::EventHandle
 Fabric::scheduleDelivery(Tick arrive, NodeId dst, EventFn cb)
 {
-    const std::uint32_t ord = deliveryOrder(dst);
-    if (ord == 0) {
-        assert(nodeShardOf(dst) == afa::sim::currentShard() &&
-               "unmarked node delivered across shards");
-        return at(arrive, std::move(cb));
-    }
-    return sim().scheduleOnShard(nodeShardOf(dst), arrive, std::move(cb),
-                                 /*internal=*/false, ord);
+    return sim().scheduleAt(arrive, std::move(cb), deliveryOrder(dst));
 }
 
 void
@@ -477,13 +462,13 @@ Fabric::walk(std::uint32_t idx, std::uint32_t hop)
             } else {
                 // Released from the last hop's entry, where the per-hop
                 // model scheduled it (see lateInFlight()).
-                fl.ev = sim().scheduleOnShard(
-                    afa::sim::currentShard(), enter,
+                fl.ev = sim().scheduleAt(
+                    enter,
                     [this, idx, arrive] {
                         Flight &f = flights[idx];
                         f.ev = at(arrive, std::move(f.cb));
                     },
-                    /*internal=*/true);
+                    /*band=*/0, /*internal=*/true);
             }
         }
         fl.pending = false;
@@ -745,16 +730,6 @@ Fabric::sendSpannedAt(Tick enter, NodeId src, NodeId dst,
         };
     }
     sendAt(enter, src, dst, bytes, std::move(on_delivered));
-}
-
-void
-Fabric::setNodeShard(NodeId node, unsigned shard)
-{
-    checkNode(node);
-    sim().checkShardId(shard);
-    if (nodeShardMap.size() < nodeInfo.size())
-        nodeShardMap.resize(nodeInfo.size(), 0);
-    nodeShardMap[node] = shard;
 }
 
 void

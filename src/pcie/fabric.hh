@@ -55,10 +55,7 @@ struct FabricStats
     Tick totalQueueDelay = 0;
     /** Packets delivered by one analytic walk and a single delivery
      *  event: every packet with a route (self-sends count as
-     *  packets only). Invariant across --shards: every walk executes
-     *  on the fabric's shard at the same tick in the same canonical
-     *  order at any shard count (endpoint sends are shipped one
-     *  lookahead after their backdated entry in serial runs too). */
+     *  packets only). */
     std::uint64_t fastPathPackets = 0;
     /** Reservations revoked because an earlier entrant in link
      *  service order (or a link-fault rate change) arrived after they
@@ -134,12 +131,10 @@ class Fabric : public afa::sim::SimObject
     /**
      * sendSpanned() with an explicit entry tick @p enter <= now().
      *
-     * Sharded execution ships a device's outbound send to the
-     * fabric's shard with one lookahead window of delay; this entry
-     * point lets the shipped send compute link entry, queueing, and
-     * arrival from the tick the device issued it, so every horizon
-     * mutation and delivery tick is bit-identical to the serial
-     * schedule. Safe because (a) endpoint edge links carry no
+     * The system model ships a device's outbound send to the fabric
+     * one minimum link propagation after the device issued it; this
+     * entry point lets the shipped send compute link entry, queueing,
+     * and arrival from the tick the device issued it. Safe because (a) endpoint edge links carry no
      * through-traffic and no reservations ever cover a route's first
      * hop, so nothing can have touched the link in (enter, now()],
      * and (b) every computed event time is >= enter + propagation >=
@@ -153,28 +148,12 @@ class Fabric : public afa::sim::SimObject
                        afa::sim::EventFn on_delivered);
 
     /**
-     * Declare that @p node's SimObjects execute on @p shard (default
-     * 0, the fabric's own shard). Final delivery callbacks for a
-     * remote node are posted through the simulator's inter-shard
-     * mailbox; all fabric state stays on the fabric's shard.
-     */
-    void setNodeShard(NodeId node, unsigned shard);
-
-    /** Shard a node's delivery callbacks execute on. */
-    unsigned
-    nodeShardOf(NodeId node) const
-    {
-        return node < nodeShardMap.size() ? nodeShardMap[node] : 0;
-    }
-
-    /**
      * Declare @p node an endpoint whose deliveries (and outbound
-     * ships) use the canonical same-tick ordering band 2 + node (see
-     * Simulator::scheduleOnShard()). The system model marks every SSD
-     * endpoint — in serial runs too, so the same-tick order of
-     * deliveries is the same deterministic function of the model at
-     * any shard count. The host stays unmarked: host-bound deliveries
-     * are always fabric-local and keep plain FIFO order.
+     * ships) use the same-tick ordering band 2 + node (see
+     * Simulator::scheduleAt()). The system model marks every SSD
+     * endpoint so deliveries keep their committed same-tick
+     * positions. The host stays unmarked: host-bound deliveries keep
+     * plain FIFO order.
      */
     void markEndpoint(NodeId node);
 
@@ -186,9 +165,9 @@ class Fabric : public afa::sim::SimObject
     }
 
     /**
-     * Minimum propagation delay over all links (0 with no links) —
-     * the conservative lookahead horizon for sharded execution: no
-     * cross-fabric effect travels faster than one link flight.
+     * Minimum propagation delay over all links (0 with no links): no
+     * cross-fabric effect travels faster than one link flight. The
+     * system model ships device sends this far ahead.
      */
     afa::sim::TickDelta minPropagation() const;
 
@@ -232,7 +211,7 @@ class Fabric : public afa::sim::SimObject
      * faulted link forks a private child stream by link index when it
      * is armed, so the flip a packet sees depends only on its link
      * and its position in that link's service order — never on how
-     * walks interleave across links, which shifts with --shards.
+     * walks interleave across links.
      */
     void setFaultRng(afa::sim::Rng *rng) { faultRng = rng; }
 
@@ -365,8 +344,6 @@ class Fabric : public afa::sim::SimObject
     // reservation, in list order, so a revocation rewinds the stream.
     std::vector<std::vector<afa::sim::Rng>> linkFaultSnap;
     unsigned faultedLinks = 0;
-    // Shard each node's delivery callbacks run on (empty = all 0).
-    std::vector<unsigned> nodeShardMap;
     // Delivery ordering band per node (empty/0 = plain FIFO order).
     std::vector<std::uint32_t> nodeOrder;
     afa::sim::Rng *faultRng = nullptr;

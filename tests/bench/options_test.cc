@@ -3,7 +3,8 @@
  * The figure benches' shared option parsing: open-loop flags are
  * range-checked instead of silently falling back to another traffic
  * model, single-run benches reject the run-plan flags they cannot
- * honour, and --help prints the flags instead of running a figure
+ * honour, the removed --shards flag is fatal instead of ignored, and
+ * --help prints the flags instead of running a figure
  * (every bench binary's --help is checked end to end by the
  * <bench>_help ctest entries).
  */
@@ -24,29 +25,52 @@ class BenchOptionsTest : public ::testing::Test
     void SetUp() override { afa::sim::setThrowOnError(true); }
     void TearDown() override { afa::sim::setThrowOnError(false); }
 
+    /** How a bench parses its flags. */
+    enum class Mode {
+        RunPlan,   ///< parseOptions()
+        SingleRun, ///< parseSingleRunOptions()
+        /** parseSingleRunOptions() of a bench that writes its own
+         *  metrics JSON (fig_fault_tail). */
+        SingleRunWithMetrics,
+    };
+
     static afa::bench::BenchOptions
-    parse(std::vector<std::string> args, bool single_run = false)
+    parse(std::vector<std::string> args, Mode mode = Mode::RunPlan)
     {
         args.insert(args.begin(), "bench");
         std::vector<char *> argv;
         for (auto &a : args)
             argv.push_back(a.data());
         const int argc = static_cast<int>(argv.size());
-        return single_run
-                   ? afa::bench::parseSingleRunOptions(argc, argv.data())
-                   : afa::bench::parseOptions(argc, argv.data());
+        switch (mode) {
+          case Mode::SingleRun:
+            return afa::bench::parseSingleRunOptions(argc, argv.data());
+          case Mode::SingleRunWithMetrics:
+            return afa::bench::parseSingleRunOptions(
+                argc, argv.data(), /*writes_metrics_json=*/true);
+          case Mode::RunPlan:
+            break;
+        }
+        return afa::bench::parseOptions(argc, argv.data());
+    }
+
+    /** The fatal diagnostic of a parse of @p args ("" if none). */
+    static std::string
+    errorOf(std::vector<std::string> args, Mode mode)
+    {
+        try {
+            parse(std::move(args), mode);
+        } catch (const afa::sim::SimError &e) {
+            return e.message;
+        }
+        return "";
     }
 
     /** The fatal diagnostic of a single-run parse of @p args. */
     static std::string
     singleRunError(std::vector<std::string> args)
     {
-        try {
-            parse(std::move(args), true);
-        } catch (const afa::sim::SimError &e) {
-            return e.message;
-        }
-        return "";
+        return errorOf(std::move(args), Mode::SingleRun);
     }
 };
 
@@ -79,8 +103,9 @@ TEST_F(BenchOptionsTest, SingleRunBenchesRejectRunPlanFlags)
 {
     // fig06-fig11 and fig13 make their runs directly: --jobs, --seeds
     // and --metrics-json used to be accepted and then ignored.
-    EXPECT_EQ(parse({}, true).jobs, 1u);
-    EXPECT_EQ(parse({"--jobs=1", "--seeds=1"}, true).seeds, 1u);
+    EXPECT_EQ(parse({}, Mode::SingleRun).jobs, 1u);
+    EXPECT_EQ(parse({"--jobs=1", "--seeds=1"}, Mode::SingleRun).seeds,
+              1u);
     EXPECT_NE(singleRunError({"--jobs=4"}).find("--jobs 4"),
               std::string::npos);
     EXPECT_NE(singleRunError({"--jobs=0"}).find("--jobs 0"),
@@ -106,7 +131,7 @@ TEST_F(BenchOptionsTest, HelpPrintsUsageAndExits)
     EXPECT_EXIT(parse({"--help"}), ::testing::ExitedWithCode(0), "");
     EXPECT_EXIT(parse({"--ssds=8", "--help"}),
                 ::testing::ExitedWithCode(0), "");
-    EXPECT_EXIT(parse({"--jobs=4", "--help"}, true),
+    EXPECT_EXIT(parse({"--jobs=4", "--help"}, Mode::SingleRun),
                 ::testing::ExitedWithCode(0), "");
     const std::string usage = afa::bench::kCommonUsage;
     for (const char *flag :
@@ -114,6 +139,39 @@ TEST_F(BenchOptionsTest, HelpPrintsUsageAndExits)
           "--metrics-json", "--trace", "--faults", "--telemetry",
           "--rate", "--burst", "--streams"})
         EXPECT_NE(usage.find(flag), std::string::npos) << flag;
+}
+
+TEST_F(BenchOptionsTest, FaultTailRejectsJobsAndSeedsButWritesMetrics)
+{
+    // fig_fault_tail builds its one run itself: --jobs 4 and --seeds 3
+    // used to print output byte-identical to the default run. It does
+    // write its own metrics JSON, so that flag stays.
+    const Mode mode = Mode::SingleRunWithMetrics;
+    EXPECT_NE(errorOf({"--jobs=4"}, mode).find("--jobs 4"),
+              std::string::npos);
+    EXPECT_NE(errorOf({"--seeds=3"}, mode).find("--seeds 3"),
+              std::string::npos);
+    EXPECT_EQ(parse({"--metrics-json=m.json"}, mode).metricsJsonPath,
+              "m.json");
+    EXPECT_EQ(parse({"--jobs=1", "--seeds=1"}, mode).jobs, 1u);
+}
+
+TEST_F(BenchOptionsTest, RemovedShardsFlagIsFatal)
+{
+    // Every run executes on one serial event loop: --shards would
+    // otherwise be an unknown key that exits 0 and does nothing.
+    for (const Mode mode :
+         {Mode::RunPlan, Mode::SingleRun, Mode::SingleRunWithMetrics}) {
+        for (const char *flag : {"--shards=2", "--shards=1"}) {
+            const std::string err = errorOf({flag}, mode);
+            EXPECT_NE(err.find("--shards was removed"),
+                      std::string::npos)
+                << flag;
+            EXPECT_NE(err.find("--jobs"), std::string::npos) << flag;
+        }
+    }
+    EXPECT_EQ(std::string(afa::bench::kCommonUsage).find("--shards"),
+              std::string::npos);
 }
 
 } // namespace

@@ -73,8 +73,13 @@ runClosedLoopQd1()
     for (const auto &t : threads)
         r.ios += t->stats().completed;
     r.modelEvents = sim.executedEvents();
-    for (const auto &s : sim.shardStats().shards)
-        r.plumbingEvents += s.plumbingEvents;
+    r.plumbingEvents = sim.plumbingEvents();
+    // The benchmark harness reads the same counters through the
+    // one-entry shardStats() profile.
+    const afa::sim::SimProfile profile = sim.shardStats();
+    EXPECT_EQ(profile.shards.size(), 1u);
+    EXPECT_EQ(profile.shards.at(0).executedEvents, r.modelEvents);
+    EXPECT_EQ(profile.shards.at(0).plumbingEvents, r.plumbingEvents);
     r.fabric = system.fabric().stats();
     return r;
 }

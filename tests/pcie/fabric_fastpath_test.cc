@@ -42,8 +42,9 @@ struct SendOp
     NodeId src;
     NodeId dst;
     std::uint32_t bytes;
-    /** Ship the send like a device completion: post it one lookahead
-     *  later in the source's ordering band, entering at `when`. */
+    /** Ship the send like a device completion: post it one minimum
+     *  propagation later in the source's ordering band, entering at
+     *  `when`. */
     bool shipped = false;
 };
 
@@ -77,8 +78,8 @@ replay(Simulator &sim, F &fabric, const Fabric &topo,
             });
             continue;
         }
-        sim.scheduleOnShard(
-            0, op.when + topo.minPropagation().count(),
+        sim.scheduleAt(
+            op.when + topo.minPropagation().count(),
             [&fabric, op, deliver] {
                 if constexpr (std::is_same_v<F, Fabric>)
                     fabric.sendSpannedAt(op.when, op.src, op.dst,
@@ -89,7 +90,7 @@ replay(Simulator &sim, F &fabric, const Fabric &topo,
                     fabric.sendAt(op.when, op.src, op.dst, op.bytes,
                                   deliver);
             },
-            /*internal=*/true, topo.deliveryOrder(op.src));
+            topo.deliveryOrder(op.src), /*internal=*/true);
     }
     sim.run();
     return seen;
@@ -214,10 +215,10 @@ TEST_F(FabricFastPathTest, AfaTopologyRandomTrafficMatchesReference)
 TEST_F(FabricFastPathTest, ShippedSameTickBurstsOn64SsdsMatchReference)
 {
     // The shape of the real system: 64 SSDs, endpoints in their own
-    // delivery bands, completions shipped one lookahead after their
-    // backdated entry, and bursts where many devices complete in the
-    // same tick, so packets tie at the shared uplinks and the service
-    // order falls back to endpoint order.
+    // delivery bands, completions shipped one minimum propagation
+    // after their backdated entry, and bursts where many devices
+    // complete in the same tick, so packets tie at the shared uplinks
+    // and the service order falls back to endpoint order.
     AfaTopologyParams params;
     params.ssds = 64;
     AfaTopology topo;

@@ -114,12 +114,8 @@ class ReferenceFabric
             fabricStats.linkReplays += replays;
         }
         if (i + 1 == path.size()) {
-            const std::uint32_t ord = topo.deliveryOrder(dst);
-            if (ord == 0)
-                sim.scheduleAt(arrive, std::move(cb));
-            else
-                sim.scheduleOnShard(topo.nodeShardOf(dst), arrive,
-                                    std::move(cb), false, ord);
+            sim.scheduleAt(arrive, std::move(cb),
+                           topo.deliveryOrder(dst));
             return;
         }
         sim.scheduleAt(arrive + ph.forwardAfter,

@@ -1,9 +1,8 @@
 /**
  * @file
  * The hot path's allocation-free containers: RingQueue keeps FIFO
- * order across wrap-around and growth; SlotPool recycles slots;
- * HandoffPool reuses slots in rotation and never hands out one that
- * is still busy.
+ * order across wrap-around and growth; SlotPool recycles released
+ * slots and never hands out one that is still held.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include "sim/slot_pool.hh"
 
 using afa::sim::EventFn;
-using afa::sim::HandoffPool;
 using afa::sim::RingQueue;
 using afa::sim::SlotPool;
 
@@ -81,30 +79,31 @@ TEST(SlotPoolTest, RecyclesReleasedSlots)
     EXPECT_EQ(pool[a], 7); // acquire() leaves the old value
 }
 
-TEST(HandoffPoolTest, ReusesTakenSlotsAndSkipsBusyOnes)
+TEST(SlotPoolTest, SettlesAtPeakInFlightAndSkipsHeldSlots)
 {
-    HandoffPool<int> pool;
-    // FIFO hand-offs settle at the peak number in flight.
-    std::vector<HandoffPool<int>::Slot *> inflight;
-    std::set<HandoffPool<int>::Slot *> seen;
+    // The device ships and SQEs are parked and released in FIFO
+    // order: the pool settles at the peak number in flight.
+    SlotPool<int> pool;
+    std::vector<std::uint32_t> inflight;
+    std::set<std::uint32_t> seen;
     for (int i = 0; i < 100; ++i) {
-        auto *slot = pool.acquire();
-        slot->value = i;
+        const std::uint32_t slot = pool.acquire();
+        pool[slot] = i;
         inflight.push_back(slot);
         seen.insert(slot);
         if (inflight.size() == 3) {
-            EXPECT_EQ(HandoffPool<int>::take(inflight.front()), i - 2);
+            EXPECT_EQ(pool[inflight.front()], i - 2);
+            pool.release(inflight.front());
             inflight.erase(inflight.begin());
         }
     }
     EXPECT_EQ(seen.size(), 3u);
-    // A slot that is never taken is never handed out again.
-    auto *stuck = inflight.front();
+    // A slot that is never released is never handed out again.
     for (int i = 0; i < 20; ++i) {
-        auto *slot = pool.acquire();
-        EXPECT_NE(slot, stuck);
+        const std::uint32_t slot = pool.acquire();
+        EXPECT_NE(slot, inflight.front());
         EXPECT_NE(slot, inflight.back());
-        HandoffPool<int>::take(slot);
+        pool.release(slot);
     }
 }
 

@@ -37,28 +37,18 @@ contract:
                        open-loop traffic engine: every arrival-clock,
                        device, LBA and mix draw must flow from the
                        engine's named per-stream forks or the offered
-                       load stops being byte-identical across
-                       --shards/--jobs.
-  shard-state          calling a controller's cross-shard mutators
-                       (setLimpFactor/setOffline/stallUntil) outside a
-                       scheduleOnShard() post: in a sharded run the
-                       controller's state belongs to its own shard, so
-                       mutating it directly from another shard is a
-                       data race and breaks bit-identical replay. Post
-                       the mutation to the owning shard through the
-                       mailbox API, or annotate code that provably
-                       runs on the owning shard.
+                       load stops being byte-identical across --jobs.
   telemetry-internal   (telemetry sources only) scheduling a sampling
                        event without internal=true: the telemetry
-                       contract (DESIGN.md §14) is that canonical
+                       contract (DESIGN.md §13) is that canonical
                        reports are byte-identical with --telemetry on
                        and off, which only holds while every sampling
-                       event is engine plumbing. A scheduleOnShard()
-                       whose internal argument is not the literal
-                       `true` — including the 3-argument form, whose
-                       default is false — and any scheduleAt()/
-                       scheduleAfter() (which cannot mark events
-                       internal at all) make the sample model-visible.
+                       event is engine plumbing. A scheduleAt() whose
+                       internal argument (the 4th) is not the literal
+                       `true` — including the shorter forms, whose
+                       default is false — and any scheduleAfter()
+                       (which cannot mark events internal at all)
+                       make the sample model-visible.
 
 Escape hatch: a trailing or immediately preceding comment
 `// detlint:allow(<rule>[,<rule>...])` suppresses a diagnostic; every
@@ -124,16 +114,12 @@ RULES = {
     "arrival-rng": "open-loop arrival code must draw randomness from "
                    "the engine's named per-stream Rng forks, not a "
                    "freshly constructed Rng",
-    "shard-state": "cross-shard SimObject state must be mutated via a "
-                   "scheduleOnShard() post to the owning shard, not "
-                   "touched directly; annotate shard-affine call "
-                   "sites with detlint:allow(shard-state)",
-    "telemetry-internal": "telemetry sampling events must be posted "
-                          "with scheduleOnShard(..., /*internal=*/"
-                          "true, ...) or canonical reports stop being "
-                          "byte-identical with telemetry on/off; "
-                          "scheduleAt/scheduleAfter cannot mark "
-                          "events internal",
+    "telemetry-internal": "telemetry sampling events must be "
+                          "scheduled with scheduleAt(when, fn, band, "
+                          "/*internal=*/true) or canonical reports "
+                          "stop being byte-identical with telemetry "
+                          "on/off; scheduleAfter cannot mark events "
+                          "internal",
 }
 
 SIMPLE_PATTERNS = [
@@ -170,18 +156,10 @@ def fresh_rng_rule_for(display_path):
         return "arrival-rng"
     return None
 
-# Cross-shard controller mutators: legal only inside a
-# scheduleOnShard() post (the mailbox routes it to the owning shard)
-# or at an annotated shard-affine call site. Member-access spelling
-# only, so declarations/definitions of the mutators don't fire.
-SHARD_STATE_RE = re.compile(
-    r"(?:\.|->)\s*(?:setLimpFactor|setOffline|stallUntil)\s*\(")
-
-SCHEDULE_ON_SHARD_RE = re.compile(r"\bscheduleOnShard\s*\(")
-
-# Scoped to paths containing "telemetry": local-shard scheduling has
-# no internal flag, so sampling code must never use it.
-LOCAL_SCHEDULE_RE = re.compile(r"\bscheduleA(?:t|fter)\s*\(")
+# Scoped to paths containing "telemetry": scheduleAt() must pass
+# internal=true, scheduleAfter() has no internal flag at all.
+SCHEDULE_AT_RE = re.compile(r"\bscheduleAt\s*\(")
+SCHEDULE_AFTER_RE = re.compile(r"\bscheduleAfter\s*\(")
 
 UNORDERED_DECL_RE = re.compile(
     r"unordered_(?:map|set|multimap|multiset)\s*<[^;{}()]*?>\s*&?\s*"
@@ -462,12 +440,12 @@ def check_mutable_static(path, text, diags):
         i += 1
 
 
-def schedule_on_shard_spans(text):
-    """Character ranges of every scheduleOnShard(...) call, from the
-    opening parenthesis to its balanced close. Mutator calls inside
-    such a span execute on the owning shard by construction."""
+def call_spans(regex, text):
+    """Character ranges of every call matched by @p regex (which ends
+    at the opening parenthesis), from the name to its balanced
+    close."""
     spans = []
-    for m in SCHEDULE_ON_SHARD_RE.finditer(text):
+    for m in regex.finditer(text):
         depth = 0
         i = m.end() - 1  # the opening '('
         n = len(text)
@@ -487,7 +465,7 @@ def schedule_on_shard_spans(text):
 def top_level_call_args(text, start, end):
     """Top-level argument substrings of the call whose name match
     begins at @p start and whose balanced close is at @p end (the
-    schedule_on_shard_spans convention). Nested parentheses, brackets
+    call_spans convention). Nested parentheses, brackets
     and braces — lambda arguments especially — do not split."""
     open_paren = text.index("(", start)
     args = []
@@ -510,32 +488,21 @@ def top_level_call_args(text, start, end):
 
 def check_telemetry_internal(path, text, diags):
     """Telemetry sampling must ride internal events: every
-    scheduleOnShard() in a telemetry source needs the literal `true`
-    as its 4th (internal) argument, and the local-shard schedulers
-    (no internal flag) are banned outright."""
-    for m in LOCAL_SCHEDULE_RE.finditer(text):
+    scheduleAt() in a telemetry source needs the literal `true` as its
+    4th (internal) argument, and scheduleAfter() (no internal flag) is
+    banned outright."""
+    for m in SCHEDULE_AFTER_RE.finditer(text):
         diags.append(Diagnostic(
             path, line_of(text, m.start()), "telemetry-internal",
-            "scheduleAt/scheduleAfter cannot mark the event internal; "
-            "post the sample with scheduleOnShard(..., /*internal=*/"
-            "true, ...)"))
-    for start, end in schedule_on_shard_spans(text):
+            "scheduleAfter cannot mark the event internal; schedule "
+            "the sample with scheduleAt(when, fn, band, "
+            "/*internal=*/true)"))
+    for start, end in call_spans(SCHEDULE_AT_RE, text):
         args = top_level_call_args(text, start, end)
         internal = args[3].strip() if len(args) > 3 else ""
         if internal != "true":
             diags.append(Diagnostic(path, line_of(text, start),
                                     "telemetry-internal"))
-
-
-def check_shard_state(path, text, diags):
-    spans = None
-    for m in SHARD_STATE_RE.finditer(text):
-        if spans is None:
-            spans = schedule_on_shard_spans(text)
-        if any(start <= m.start() <= end for start, end in spans):
-            continue
-        diags.append(Diagnostic(path, line_of(text, m.start()),
-                                "shard-state"))
 
 
 def check_unordered_iteration(path, text, diags):
@@ -570,7 +537,6 @@ def check_file(path, display_path):
                                     fresh_rng_rule))
     if "telemetry" in display_path:
         check_telemetry_internal(display_path, text, diags)
-    check_shard_state(display_path, text, diags)
     check_unordered_iteration(display_path, text, diags)
     check_mutable_static(display_path, text, diags)
 

@@ -138,46 +138,6 @@ def begin_var(name="begin", line=2):
     return FakeCursor("VAR_DECL", spelling=name, type=t, line=line)
 
 
-class CaptureParsing(unittest.TestCase):
-    def parse(self, *tokens):
-        return da.parse_capture_tokens(list(tokens))
-
-    def test_default_ref(self):
-        self.assertEqual(self.parse("[", "&", "]"),
-                         [("ref-default", "")])
-
-    def test_default_value(self):
-        self.assertEqual(self.parse("[", "=", "]"),
-                         [("value-default", "")])
-
-    def test_named_ref_and_value(self):
-        self.assertEqual(
-            self.parse("[", "&", "a", ",", "b", "]"),
-            [("ref", "a"), ("value", "b")])
-
-    def test_this_forms(self):
-        self.assertEqual(self.parse("[", "this", "]"),
-                         [("this", "this")])
-        self.assertEqual(self.parse("[", "*", "this", "]"),
-                         [("this", "this")])
-
-    def test_init_capture_value(self):
-        self.assertEqual(self.parse("[", "c", "=", "ptr", "]"),
-                         [("value", "c")])
-
-    def test_init_capture_ref(self):
-        self.assertEqual(self.parse("[", "&", "r", "=", "obj", "]"),
-                         [("ref", "r")])
-
-    def test_nested_brackets_in_init(self):
-        self.assertEqual(
-            self.parse("[", "y", "=", "arr", "[", "0", "]", "]"),
-            [("value", "y")])
-
-    def test_not_a_capture_list(self):
-        self.assertEqual(self.parse("(", "int", ")"), [])
-
-
 class QualifiedNames(unittest.TestCase):
     def test_skips_inline_version_namespaces(self):
         tu = FakeCursor("TRANSLATION_UNIT")
@@ -270,52 +230,47 @@ class TelemetryInternal(unittest.TestCase):
         return [(d.rule, d.line) for d in self.analyzer.results()]
 
     def base_args(self):
+        """(when, fn, band) of a scheduleAt() call."""
         return [FakeCursor("INTEGER_LITERAL", path=self.path,
                            is_expr=True),
-                FakeCursor("INTEGER_LITERAL", path=self.path,
-                           is_expr=True),
                 FakeCursor("LAMBDA_EXPR", path=self.path,
+                           is_expr=True),
+                FakeCursor("INTEGER_LITERAL", path=self.path,
                            is_expr=True)]
 
-    def test_three_arg_form_fires(self):
-        call = self.sched_call("scheduleOnShard", self.base_args(),
-                               line=7)
-        self.analyzer._check_telemetry_schedule(call, "scheduleOnShard")
-        self.assertEqual(self.fired(), [("telemetry-internal", 7)])
+    def test_short_forms_fire(self):
+        # (when, fn) and (when, fn, band): internal defaults to false.
+        for line, n in ((7, 2), (8, 3)):
+            call = self.sched_call("scheduleAt", self.base_args()[:n],
+                                   line=line)
+            self.analyzer._check_telemetry_schedule(call, "scheduleAt")
+        self.assertEqual(self.fired(), [("telemetry-internal", 7),
+                                        ("telemetry-internal", 8)])
 
     def test_explicit_false_fires(self):
-        args = self.base_args() + [self.bool_lit("false"),
-                                   FakeCursor("INTEGER_LITERAL",
-                                              path=self.path,
-                                              is_expr=True)]
-        call = self.sched_call("scheduleOnShard", args, line=9)
-        self.analyzer._check_telemetry_schedule(call, "scheduleOnShard")
+        args = self.base_args() + [self.bool_lit("false")]
+        call = self.sched_call("scheduleAt", args, line=9)
+        self.analyzer._check_telemetry_schedule(call, "scheduleAt")
         self.assertEqual(self.fired(), [("telemetry-internal", 9)])
 
     def test_explicit_true_is_clean(self):
-        args = self.base_args() + [self.bool_lit("true"),
-                                   FakeCursor("INTEGER_LITERAL",
-                                              path=self.path,
-                                              is_expr=True)]
-        call = self.sched_call("scheduleOnShard", args)
-        self.analyzer._check_telemetry_schedule(call, "scheduleOnShard")
+        args = self.base_args() + [self.bool_lit("true")]
+        call = self.sched_call("scheduleAt", args)
+        self.analyzer._check_telemetry_schedule(call, "scheduleAt")
         self.assertEqual(self.fired(), [])
 
-    def test_local_schedulers_fire(self):
-        for line, name in enumerate(("scheduleAt", "scheduleAfter"), 1):
-            call = self.sched_call(name, self.base_args()[:2],
-                                   line=line)
-            self.analyzer._check_telemetry_schedule(call, name)
-        self.assertEqual(self.fired(), [("telemetry-internal", 1),
-                                        ("telemetry-internal", 2)])
+    def test_schedule_after_fires(self):
+        call = self.sched_call("scheduleAfter", self.base_args()[:2],
+                               line=4)
+        self.analyzer._check_telemetry_schedule(call, "scheduleAfter")
+        self.assertEqual(self.fired(), [("telemetry-internal", 4)])
 
     def test_non_telemetry_file_not_checked(self):
         # _check_call only consults the rule for telemetry sources.
         call = self.sched_call("scheduleAfter", self.base_args()[:2])
         call.location = FakeLocation(
             os.path.join(self.tmp.name, "obs", "span_log.cc"), 1)
-        ctx = {"in_sched": False}
-        self.analyzer._check_call(call, ctx, telemetry_file=False)
+        self.analyzer._check_call(call, telemetry_file=False)
         self.assertEqual(self.fired(), [])
 
 
@@ -357,8 +312,7 @@ class TickUnitsOperator(unittest.TestCase):
         with open(self.path, "w", encoding="utf-8") as f:
             f.write("// nothing\n" * 20)
         self.an = da.Analyzer(self.root)
-        self.ctx = {"in_sched": False, "in_sched_lambda": False,
-                    "unordered_loop_depth": 0}
+        self.ctx = {"unordered_loop_depth": 0}
 
     def tearDown(self):
         self.tmp.cleanup()
@@ -516,8 +470,7 @@ class FreshRngRule(unittest.TestCase):
     def setUp(self):
         self.tmp = tempfile.TemporaryDirectory()
         self.an = da.Analyzer(self.tmp.name)
-        self.ctx = {"in_sched": False, "in_sched_lambda": False,
-                    "unordered_loop_depth": 0}
+        self.ctx = {"unordered_loop_depth": 0}
 
     def tearDown(self):
         self.tmp.cleanup()
@@ -606,37 +559,6 @@ class FreshRngRule(unittest.TestCase):
                          path=path, line=6)
         self.an._check_new_expr(new, None)
         self.assertEqual(self.fired(), [])
-
-
-class ShardCaptureRule(unittest.TestCase):
-    def setUp(self):
-        self.tmp = tempfile.TemporaryDirectory()
-        self.root = self.tmp.name
-        self.path = os.path.join(self.root, "z.cc")
-        with open(self.path, "w", encoding="utf-8") as f:
-            f.write("// nothing\n" * 10)
-        self.an = da.Analyzer(self.root)
-
-    def tearDown(self):
-        self.tmp.cleanup()
-
-    def lam(self, tokens):
-        return FakeCursor("LAMBDA_EXPR", tokens=tokens,
-                          path=self.path, line=3)
-
-    def test_ref_captures_fire(self):
-        self.an._check_shard_capture(
-            self.lam(["[", "&", "x", "]", "{", "}"]))
-        self.assertEqual([d.rule for d in self.an.results()],
-                         ["shard-capture"])
-        self.assertIn("'x'", self.an.results()[0].detail)
-
-    def test_value_captures_clean(self):
-        self.an._check_shard_capture(
-            self.lam(["[", "this", ",", "e", "]", "{", "}"]))
-        self.an._check_shard_capture(
-            self.lam(["[", "c", "=", "ptr", "]", "{", "}"]))
-        self.assertEqual(self.an.results(), [])
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 // Fixture: telemetry sampling events scheduled without internal=true.
-// The telemetry contract (DESIGN.md §14) makes canonical reports
+// The telemetry contract (DESIGN.md §13) makes canonical reports
 // byte-identical with --telemetry on and off, which only holds while
-// every sampling event is engine plumbing. Three wrong shapes must
+// every sampling event is engine plumbing. Four wrong shapes must
 // each fire once; the sanctioned idiom and the audited allow must
 // not. The file name carries "telemetry" on purpose: the rule is
 // scoped to telemetry sources.
@@ -19,18 +19,20 @@ scheduleSamples(afa::sim::Simulator &sim, afa::sim::Tick period)
 
     // Defaulted internal=false: the sample is a model-visible event,
     // so enabling telemetry perturbs the canonical reports.
-    sim.scheduleOnShard(0, when, [] {});
+    sim.scheduleAt(when, [] {});
+
+    // A band alone leaves internal defaulted to false.
+    sim.scheduleAt(when, [] {}, kSampleOrderBand);
 
     // An explicit false is just as wrong.
-    sim.scheduleOnShard(0, when, [] {}, false, kSampleOrderBand);
+    sim.scheduleAt(when, [] {}, kSampleOrderBand, false);
 
-    // Local-shard scheduling cannot mark the event internal at all.
+    // scheduleAfter cannot mark the event internal at all.
     sim.scheduleAfter(period, [] {});
 
     // The sanctioned idiom: internal, in the top ordering band so the
     // sample runs after every model event of its tick.
-    sim.scheduleOnShard(0, when, [] {}, /*internal=*/true,
-                        kSampleOrderBand);
+    sim.scheduleAt(when, [] {}, kSampleOrderBand, /*internal=*/true);
 
     // Audited exception: a debug probe meant to appear in the trace.
     // detlint:allow(telemetry-internal)
